@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the four benchmark CSVs into results/.
+"""Regenerate the checked benchmark CSVs (one per bench.CHECKS entry) into results/.
 
 Phase fits are cached (GROVER_ITE_CACHE_DIR), so reruns are fast and
 bitwise-identical for a fixed seed.
@@ -19,21 +19,21 @@ def main(argv=None):
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     parser.add_argument(
         "--only", choices=sorted(bench.RUNNERS), default=None,
-        help="run a single experiment instead of all four",
+        help="run a single experiment instead of every checked one",
     )
     args = parser.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    experiments = [args.only] if args.only else ["fig-a", "fig-b", "fig-c", "fixed-point"]
+    experiments = [args.only] if args.only else list(bench.CHECKS)
     for name in experiments:
         config = bench.ExperimentConfig.for_experiment(name, seed=args.seed)
         start = time.time()
-        text = bench.RUNNERS[name](config)
+        text, rows = bench.RUNNERS[name](config)
         path = args.out_dir / f"{name.replace('-', '_')}.csv"
         path.write_text(text)
         line = f"{name}: {path} ({len(text.splitlines()) - 1} lines, {time.time()-start:.1f}s)"
         if name in bench.CHECKS:
-            ok, message = bench.CHECKS[name](config)
+            ok, message = bench.CHECKS[name](config, rows)
             line += f"  [{'ok' if ok else 'THRESHOLD MISS'}: {message}]"
         print(line)
     return 0

@@ -6,9 +6,14 @@ Every run writes a diff-able CSV: first a comment line
 
 then a header row and data rows with floats in shortest round-trip form.
 Row order is canonical (sorted sweep keys), so identical config + seed gives
-bitwise-identical bytes.  Phase fits are cached on disk keyed by the fit
-inputs; the cache stores the phase-list JSON, whose floats round-trip exactly,
-so warm runs reproduce cold runs bit for bit.
+bitwise-identical bytes within one environment (the output path is not part of
+the config hash).  Phase fits are cached on disk keyed by the fit inputs; the
+cache stores the phase-list JSON, whose floats round-trip exactly, so warm runs
+reproduce the run that filled the cache bit for bit.  A cold refit under a
+different numpy/scipy/BLAS build or thread count may differ in the last digits.
+
+Each runner returns the CSV text and what its row function returned; the
+matching ``--strict`` check in CHECKS reads that instead of recomputing it.
 
 Experiments:
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,8 +56,6 @@ from .search_core import SearchInstance
 
 CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
 
-_EXPERIMENTS = ("fig-a", "fig-b", "fig-c", "fixed-point", "custom")
-
 _DEFAULTS = {
     "fig-a": dict(n_qubits=(8,), iterations=16, s_values=(0.5, 1.0, 3.0)),
     "fig-b": dict(n_qubits=(4, 6, 8), iterations=8, s_values=(1.0, 3.0, 4.0)),
@@ -61,9 +65,6 @@ _DEFAULTS = {
     "fixed-point": dict(n_qubits=(8,), iterations=20, s_values=()),
     "custom": dict(n_qubits=(8,), iterations=16, s_values=()),
 }
-
-_SCHEDULE_NAMES = ("original-pi", "pi-over-three", "fixed-point-chebyshev", "sign-qsp")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -80,7 +81,7 @@ class ExperimentConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in _DEFAULTS:
             raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
         if self.iterations < 1:
             raise ConfigInvalid("iterations must be >= 1")
@@ -97,7 +98,7 @@ class ExperimentConfig:
 
     @classmethod
     def for_experiment(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        if experiment not in _EXPERIMENTS:
+        if experiment not in _DEFAULTS:
             raise ConfigInvalid(f"unknown experiment {experiment!r}")
         params = dict(_DEFAULTS[experiment])
         params.update({k: v for k, v in overrides.items() if v is not None})
@@ -111,7 +112,9 @@ class ExperimentConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of the fields that shape the rows; the output path is not one."""
+        fields = dict(self.to_dict(), out=None)
+        text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -128,11 +131,26 @@ def _cache_key(payload: dict) -> str:
 
 
 def _cached_phases(payload: dict, compute) -> QspPhases:
+    """Cached phase list, or a fresh fit written atomically into the cache.
+
+    An entry that does not parse (say, one cut short by a crash) is refitted
+    and overwritten.
+    """
     path = cache_dir() / f"{_cache_key(payload)}.json"
     if path.exists():
-        return QspPhases.from_json(path.read_text())
+        try:
+            return QspPhases.from_json(path.read_text())
+        except (ValueError, KeyError, TypeError):
+            pass
     phases = compute()
-    path.write_text(phases.to_json())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(phases.to_json())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return phases
 
 
@@ -332,33 +350,39 @@ def render_csv(config: ExperimentConfig, header: list[str], rows: list[tuple],
     return "\n".join(lines) + "\n"
 
 
-def run_fig_a(config: ExperimentConfig) -> str:
-    return render_csv(config, ["s", "M", "e0", "infidelity"], fig_a_rows(config))
+def run_fig_a(config: ExperimentConfig):
+    rows = fig_a_rows(config)
+    return render_csv(config, ["s", "M", "e0", "infidelity"], rows), rows
 
 
-def run_fig_b(config: ExperimentConfig) -> str:
-    return render_csv(config, ["n", "s", "mean_infidelity"], fig_b_rows(config))
+def run_fig_b(config: ExperimentConfig):
+    rows = fig_b_rows(config)
+    return render_csv(config, ["n", "s", "mean_infidelity"], rows), rows
 
 
-def run_fig_c(config: ExperimentConfig) -> str:
-    rows, trend_ok = fig_c_rows(config)
-    return render_csv(
+def run_fig_c(config: ExperimentConfig):
+    result = fig_c_rows(config)
+    rows, trend_ok = result
+    text = render_csv(
         config, ["s", "mean_infidelity"], rows,
         [f"# monotone_trend_s_ge_1={trend_ok}"],
     )
+    return text, result
 
 
-def run_fixed_point(config: ExperimentConfig) -> str:
-    rows, valid_from = fixed_point_rows(config)
+def run_fixed_point(config: ExperimentConfig):
+    result = fixed_point_rows(config)
+    rows, valid_from = result
     comment = f"# chebyshev_valid_e0_min={_fmt(valid_from) if valid_from is not None else 'none'}"
-    return render_csv(config, ["schedule", "M", "e0", "final_overlap"], rows, [comment])
+    return render_csv(config, ["schedule", "M", "e0", "final_overlap"], rows, [comment]), result
 
 
-def run_custom(config: ExperimentConfig) -> str:
-    kind, rows = custom_rows(config)
+def run_custom(config: ExperimentConfig):
+    result = custom_rows(config)
+    kind, rows = result
     if kind == "overlap":
-        return render_csv(config, ["schedule", "M", "e0", "final_overlap"], rows)
-    return render_csv(config, ["s", "M", "e0", "infidelity"], rows)
+        return render_csv(config, ["schedule", "M", "e0", "final_overlap"], rows), result
+    return render_csv(config, ["s", "M", "e0", "infidelity"], rows), result
 
 
 RUNNERS = {
@@ -371,11 +395,10 @@ RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# Threshold checks for --strict runs
+# Threshold checks for --strict runs, on the rows their runner returned
 
 
-def check_fig_a(config: ExperimentConfig) -> tuple[bool, str]:
-    rows = fig_a_rows(config)
+def check_fig_a(config: ExperimentConfig, rows) -> tuple[bool, str]:
     problems = []
     for s in sorted(config.s_values):
         infs = np.array([inf for ss, _, _, inf in rows if ss == s])
@@ -385,8 +408,7 @@ def check_fig_a(config: ExperimentConfig) -> tuple[bool, str]:
     return (not problems, "; ".join(problems) or "fig-a thresholds met")
 
 
-def check_fig_b(config: ExperimentConfig) -> tuple[bool, str]:
-    rows = fig_b_rows(config)
+def check_fig_b(config: ExperimentConfig, rows) -> tuple[bool, str]:
     problems = []
     for s in sorted(config.s_values):
         means = [mean for _, ss, mean in rows if ss == s]
@@ -396,16 +418,19 @@ def check_fig_b(config: ExperimentConfig) -> tuple[bool, str]:
     return (not problems, "; ".join(problems) or "fig-b spread within 10x of min")
 
 
-def check_fig_c(config: ExperimentConfig) -> tuple[bool, str]:
-    rows, _ = fig_c_rows(config)
-    by_s = dict(rows)
+def check_fig_c(config: ExperimentConfig, result) -> tuple[bool, str]:
+    """Infidelity at the largest s must exceed that at s=1 (else the smallest s)."""
+    by_s = dict(result[0])
+    if not by_s:
+        return False, "no fig-c rows"
     s_max = max(by_s)
-    ok = by_s[s_max] > by_s.get(1.0, min(by_s.values()))
-    return ok, f"infidelity(s={s_max})={by_s[s_max]:.3e} vs s=1 {by_s.get(1.0):.3e}"
+    s_ref = 1.0 if 1.0 in by_s else min(by_s)
+    ok = by_s[s_max] > by_s[s_ref]
+    return ok, f"infidelity(s={s_max})={by_s[s_max]:.3e} vs s={s_ref:g} {by_s[s_ref]:.3e}"
 
 
-def check_fixed_point(config: ExperimentConfig) -> tuple[bool, str]:
-    rows, valid_from = fixed_point_rows(config)
+def check_fixed_point(config: ExperimentConfig, result) -> tuple[bool, str]:
+    rows, valid_from = result
     if valid_from is None:
         return False, "chebyshev schedule has no valid range"
     level = 1.0 - config.delta2

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ``bench fig-a|fig-b|fig-c|fixed-point``, ``simulate``,
+Subcommands: ``bench fig-a|fig-b|fig-c|fixed-point|custom``, ``simulate``,
 ``compile``, ``qsp fit|map|check``, ``geodesic``.  Exit codes: 0 success,
 2 configuration error, 3 numerical-contract violation under ``--strict``.
 The phase-fit cache location honors the GROVER_ITE_CACHE_DIR environment
@@ -126,14 +126,14 @@ def _make_bench_command(experiment: str):
             config = _build_config(
                 experiment, n_qubits, iters, s_values, delta2, seed, restarts, out, json_config
             )
-            text = bench.RUNNERS[experiment](config)
+            text, rows = bench.RUNNERS[experiment](config)
         except ConfigInvalid as exc:
             _fail(2, str(exc))
         except GroverIteError as exc:
             _fail(2, f"{type(exc).__name__}: {exc}")
         _emit(text, config.out)
         if strict and experiment in bench.CHECKS:
-            ok, message = bench.CHECKS[experiment](config)
+            ok, message = bench.CHECKS[experiment](config, rows)
             if not ok:
                 _fail(3, f"contract violation: {message}")
             click.echo(f"strict: {message}", err=True)
@@ -142,7 +142,7 @@ def _make_bench_command(experiment: str):
     return _cmd
 
 
-for _exp in ("fig-a", "fig-b", "fig-c", "fixed-point", "custom"):
+for _exp in bench.RUNNERS:
     _make_bench_command(_exp)
 
 

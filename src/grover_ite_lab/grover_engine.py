@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyMarkedSet, NumericalDomain
+from .errors import DomainError, EmptyMarkedSet, NonAlternatingSchedule, NumericalDomain
 from .pf_compiler import AngleSchedule, Generator, Pulse
 from .search_core import (
     ReducedState,
@@ -167,7 +167,7 @@ def run_schedule(inst: SearchInstance, schedule, mode: str = "full"):
     else:
         try:
             steps = [("pair", ab) for ab in schedule.grover_pairs()]
-        except Exception:
+        except NonAlternatingSchedule:
             steps = [("pulse", p) for p in schedule.canonical().pulses]
 
     if mode == "reduced":

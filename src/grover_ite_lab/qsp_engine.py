@@ -596,6 +596,52 @@ def phases_to_dr_angles(phases: QspPhases) -> np.ndarray:
 TargetLike = Union[ChebyshevPoly, Callable[[np.ndarray], np.ndarray]]
 
 
+def _multistart(rungs, k: int, seed: int, restarts: int, spread: float,
+                stall_limit: float = math.inf, maxiter: int = 4000):
+    """Seeded multi-start ladder; returns the final rung's (angles, cost).
+
+    Each rung is (chains, goal); a chain is a tuple of cost functions solved in
+    turn, each from the previous solve's point, and every chain of a restart
+    starts from the same point.  Restart 0 starts from the previous rung's
+    winner (a small random point on the first rung), later restarts perturb it
+    by N(0, spread).  A rung stops at its goal cost or after ``stall_limit``
+    restarts in a row that did not improve; its winner is chosen by (cost,
+    restart index).  Intermediate rungs keep max(2, restarts // 3) restarts.
+    """
+    rng = np.random.default_rng(seed)
+    warm = None
+    for i, (chains, goal) in enumerate(rungs):
+        budget = restarts if i == len(rungs) - 1 else max(2, restarts // 3)
+        best_a, best_cost, stall = None, math.inf, 0
+        for r in range(budget):
+            if r == 0:
+                x0 = warm if warm is not None else 0.01 * rng.normal(size=k)
+            else:
+                x0 = (warm if warm is not None else np.zeros(k)) + rng.normal(0.0, spread, k)
+            improved = False
+            for chain in chains:
+                x = x0
+                for fg in chain:
+                    res = _lbfgs(fg, x, maxiter)
+                    x = res.x
+                if math.isfinite(res.fun) and res.fun < best_cost:
+                    best_a, best_cost, improved = res.x, float(res.fun), True
+            stall = 0 if improved else stall + 1
+            if best_cost < goal or stall >= stall_limit:
+                break
+        if best_a is None:
+            raise OptimizerDiverged("no restart produced a finite cost")
+        warm = best_a
+    return best_a, best_cost
+
+
+def _check_k(k: int, n_d: int):
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if n_d < k:
+        raise DomainError(f"need n_d >= k, got n_d={n_d} < k={k}")
+
+
 def fit_phases(
     target: TargetLike,
     k: int,
@@ -611,29 +657,13 @@ def fit_phases(
     without the relative-phase term, then polishes on the full cost; the
     winner is chosen by (cost, restart index).  Deterministic for fixed seed.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if n_d < k:
-        raise DomainError(f"need n_d >= k, got n_d={n_d} < k={k}")
+    _check_k(k, n_d)
     xs = np.linspace(0.0, 1.0, n_d)
     tv = np.asarray(target(xs), dtype=float)
     full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
     explore = lambda a: _mse_cost_grad(a, xs, tv, lambda1)
-    rng = np.random.default_rng(seed)
-
-    best_a, best_cost = None, math.inf
-    for r in range(restarts):
-        x0 = 0.01 * rng.normal(size=k) if r == 0 else rng.normal(0.0, 0.5, k)
-        for path in (lambda: _lbfgs(full, _lbfgs(explore, x0).x), lambda: _lbfgs(full, x0)):
-            res = path()
-            if not math.isfinite(res.fun):
-                continue
-            if res.fun < best_cost:
-                best_a, best_cost = res.x, float(res.fun)
-        if best_cost < 1e-10:
-            break
-    if best_a is None:
-        raise OptimizerDiverged("no restart produced a finite cost")
+    rungs = [(((explore, full), (full,)), 1e-10)]
+    best_a, best_cost = _multistart(rungs, k, seed, restarts, spread=0.5)
     return dr_angles_to_phases(best_a), best_cost
 
 
@@ -655,45 +685,18 @@ def fit_ite_phases(
     """
     if s < 0:
         raise DomainError("s must be nonnegative")
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if n_d < k:
-        raise DomainError(f"need n_d >= k, got n_d={n_d} < k={k}")
+    _check_k(k, n_d)
     xs = np.linspace(0.0, 1.0, n_d)
-    rungs = [float(v) for v in np.arange(1.0, s, 1.0)] + [float(s)]
-    rng = np.random.default_rng(seed)
 
-    warm = None
-    best_a, best_cost = None, math.inf
-    for i, sl in enumerate(rungs):
-        theta = sl * xs * np.sqrt(1.0 - xs ** 2)
+    def rung(duration: float, goal: float):
+        theta = duration * xs * np.sqrt(1.0 - xs ** 2)
         tv = np.cos(theta)
         full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
         guide = lambda a: _statematch_cost_grad(a, xs, theta)
-        last = i == len(rungs) - 1
-        budget = restarts if last else max(2, restarts // 3)
-        goal = 1e-10 if last else 1e-7
+        return ((guide, full), (full,)), goal
 
-        best_a, best_cost = None, math.inf
-        stall = 0
-        for r in range(budget):
-            if r == 0:
-                x0 = warm if warm is not None else 0.01 * rng.normal(size=k)
-            else:
-                base = warm if warm is not None else np.zeros(k)
-                x0 = base + rng.normal(0.0, 0.4, k)
-            improved = False
-            for path in (lambda: _lbfgs(full, _lbfgs(guide, x0).x), lambda: _lbfgs(full, x0)):
-                res = path()
-                if math.isfinite(res.fun) and res.fun < best_cost:
-                    best_a, best_cost = res.x, float(res.fun)
-                    improved = True
-            stall = 0 if improved else stall + 1
-            if best_cost < goal or stall >= 3:
-                break
-        if best_a is None:
-            raise OptimizerDiverged("no restart produced a finite cost")
-        warm = best_a
+    rungs = [rung(float(v), 1e-7) for v in np.arange(1.0, s, 1.0)] + [rung(float(s), 1e-10)]
+    best_a, best_cost = _multistart(rungs, k, seed, restarts, spread=0.4, stall_limit=3)
     return dr_angles_to_phases(best_a), best_cost
 
 
@@ -726,35 +729,14 @@ def fixed_point_via_sign(
         )
 
     xs = np.linspace(0.0, 1.0, max(50, k + 1))
-    rng = np.random.default_rng(seed)
-    ladder = [e for e in (0.5, 0.35, 0.25, 0.18, 0.13) if e > eta] + [eta]
-    warm = None
-    best_a, best_cost = None, math.inf
-    for i, el in enumerate(ladder):
-        coeffs = final_coeffs if el == eta else _sign_series(el, delta_cap, 1.0, k)
-        if coeffs is None:
-            continue
+
+    def rung(coeffs: np.ndarray, goal: float):
         tv = _cheb.chebval(xs, coeffs)
-        fg = lambda a: _mse_cost_grad(a, xs, tv, 0.01)
-        last = i == len(ladder) - 1
-        budget = restarts if last else max(2, restarts // 3)
-        best_a, best_cost = None, math.inf
-        stall = 0
-        for r in range(budget):
-            if r == 0:
-                x0 = warm if warm is not None else 0.01 * rng.normal(size=k)
-            else:
-                x0 = (warm if warm is not None else np.zeros(k)) + rng.normal(0.0, 0.4, k)
-            res = _lbfgs(fg, x0, maxiter=6000)
-            if math.isfinite(res.fun) and res.fun < best_cost:
-                best_a, best_cost = res.x, float(res.fun)
-                stall = 0
-            else:
-                stall += 1
-            if best_cost < (2e-6 if last else 1e-5) or stall >= 3:
-                break
-        if best_a is None:
-            raise OptimizerDiverged("no restart produced a finite cost")
-        warm = best_a
+        return ((lambda a: _mse_cost_grad(a, xs, tv, 0.01),),), goal
+
+    # rungs whose degree-K series misses the cap are skipped; the final one exists
+    steps = [_sign_series(e, delta_cap, 1.0, k) for e in (0.5, 0.35, 0.25, 0.18, 0.13) if e > eta]
+    rungs = [rung(c, 1e-5) for c in steps if c is not None] + [rung(final_coeffs, 2e-6)]
+    best_a, _ = _multistart(rungs, k, seed, restarts, spread=0.4, stall_limit=3, maxiter=6000)
     a_full = np.concatenate([best_a, [0.0]])
     return qsp_to_grover(dr_angles_to_phases(a_full, grover_pairs=True))

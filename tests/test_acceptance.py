@@ -273,8 +273,8 @@ def test_criterion_11_property_suite():
     config = ExperimentConfig.for_experiment(
         "custom", n_qubits=(4,), iterations=2, s_values=(0.5,), seed=9
     )
-    first = bench.run_custom(config)
-    second = bench.run_custom(config)
+    first, _ = bench.run_custom(config)
+    second, _ = bench.run_custom(config)
     assert first == second
 
     elapsed = time.time() - start

@@ -11,7 +11,7 @@ from grover_ite_lab.bench import ExperimentConfig, custom_rows, fig_a_rows, reso
 from grover_ite_lab.cli import main, parse_formula
 from grover_ite_lab.errors import ConfigInvalid
 from grover_ite_lab.pf_compiler import AngleSchedule, FiveCopies, GroupCommutator, TwoCopies
-from grover_ite_lab.qsp_engine import ChebyshevPoly
+from grover_ite_lab.qsp_engine import ChebyshevPoly, QspPhases
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +43,7 @@ def test_unknown_schedule_token_carries_token():
 def test_empty_sweep_header_only():
     cfg = ExperimentConfig.for_experiment("custom", n_qubits=(4,), iterations=2,
                                           s_values=(), seed=0)
-    text = bench.run_custom(cfg)
+    text, _ = bench.run_custom(cfg)
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert lines[1] == "s,M,e0,infidelity"
@@ -51,18 +51,33 @@ def test_empty_sweep_header_only():
 
 def test_csv_header_comment_format():
     cfg = ExperimentConfig.for_experiment("custom", **CHEAP)
-    text = bench.run_custom(cfg)
+    text, _ = bench.run_custom(cfg)
     first = text.split("\n", 1)[0]
     assert re.fullmatch(r"# grover-ite-lab v0\.1\.0 config=[0-9a-f]{12} seed=3", first)
 
 
 def test_seed_determinism_bitwise_and_cache_warm():
     cfg = ExperimentConfig.for_experiment("custom", **CHEAP)
-    cold = bench.run_custom(cfg)
-    warm = bench.run_custom(cfg)  # second run hits the phase cache
+    cold, _ = bench.run_custom(cfg)
+    warm, _ = bench.run_custom(cfg)  # second run hits the phase cache
     assert cold == warm
     assert (Path(bench.cache_dir())).exists()
     assert list(Path(bench.cache_dir()).glob("*.json"))
+
+
+def test_truncated_cache_entry_is_refitted():
+    first = bench.fitted_ite_phases(0.5, 2, seed=3)
+    (entry,) = Path(bench.cache_dir()).glob("*.json")
+    entry.write_text(entry.read_text()[:20])  # a write cut short
+    assert bench.fitted_ite_phases(0.5, 2, seed=3) == first
+    assert QspPhases.from_json(entry.read_text()) == first
+    assert list(Path(bench.cache_dir()).iterdir()) == [entry]  # no temporary file left
+
+
+def test_config_hash_ignores_output_path():
+    a = ExperimentConfig.for_experiment("fig-a", out="a.csv")
+    b = ExperimentConfig.for_experiment("fig-a", out="b.csv")
+    assert a.config_hash() == b.config_hash() == ExperimentConfig.for_experiment("fig-a").config_hash()
 
 
 def test_custom_single_point_matches_fig_a_row():
@@ -103,7 +118,7 @@ def test_fig_c_rows_and_flag_cheap():
     rows, trend = bench.fig_c_rows(cfg)
     assert isinstance(trend, bool)
     assert all(0.0 <= inf <= 1.0 + 1e-12 for _, inf in rows)
-    text = bench.run_fig_c(cfg)
+    text, _ = bench.run_fig_c(cfg)
     assert "# monotone_trend_s_ge_1=" in text
 
 
@@ -119,7 +134,7 @@ def test_fixed_point_rows_cheap():
     level = 1.0 - cfg.delta2
     cheb = [(e0, ov) for name, _, e0, ov in rows if name == "fixed-point-chebyshev"]
     assert all(ov >= level - 1e-9 for e0, ov in cheb if e0 >= valid_from)
-    text = bench.run_fixed_point(cfg)
+    text, _ = bench.run_fixed_point(cfg)
     assert "# chebyshev_valid_e0_min=" in text
 
 
@@ -253,6 +268,33 @@ def test_cli_strict_exit_code_on_threshold_miss():
          "--strict"],
     )
     assert res.exit_code == 3
+
+
+def test_cli_bench_same_bytes_at_two_paths(tmp_path):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        res = CliRunner().invoke(
+            main, ["bench", "custom", "--n", "4", "--iters", "2", "--s", "0.5", "--seed", "3",
+                   "--out", str(path)],
+        )
+        assert res.exit_code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cli_strict_fig_c_without_unit_duration(tmp_path):
+    # the trend check falls back to the smallest s when s=1 is not swept
+    res = CliRunner().invoke(
+        main, ["bench", "fig-c", "--n", "4", "--iters", "2", "--s", "0.5", "--s", "2.0",
+               "--strict"],
+    )
+    assert res.exit_code in (0, 3)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "vs s=0.5 " in res.output
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_qubits": [4], "iterations": 2, "s_values": []}))
+    res2 = CliRunner().invoke(main, ["bench", "fig-c", "--json-config", str(cfg_path), "--strict"])
+    assert res2.exit_code == 3
+    assert "no fig-c rows" in res2.output
 
 
 def test_cli_strict_passes_on_met_thresholds():

@@ -265,6 +265,42 @@ def test_fixed_point_via_sign_structure():
         fixed_point_via_sign(2, 0.05, 0.05)
 
 
+# Outputs of one cheap fit per entry point, recorded before the three restart
+# loops were folded into one driver.
+PINNED_FIT_PHASES = (0.7118930519046911, 5.446035170680741e-08, 0.7118929974443394)
+PINNED_FIT_COST = 0.1047009804948007
+PINNED_ITE_PHASES = (-0.44033124991177713, 0.2208415411295578, 0.3011669797730772,
+                     -0.3916792155459739, -0.5706605552684383)
+PINNED_ITE_COST = 0.02506918398898544
+PINNED_SIGN_PAIRS = (
+    (-1.0601419139262551, -3.9004622069490313), (0.8898737946289115, 3.1602447768257274),
+    (1.2815922313345158, 2.212447627414147), (-1.50876973706086, -2.477113906289133),
+    (1.3941669522979458, 1.4546030641987118), (0.0, -1.2906467137603552),
+)
+
+
+def test_fits_match_pinned_outputs():
+    """Phases and costs of three cheap fits, one per entry point, within 1e-9.
+
+    The values were recorded with numpy 2.4.6, scipy 1.17.1 and one OpenBLAS
+    thread, and also hold with two OpenBLAS threads on a 2-CPU x86-64 host.
+    Whether they hold under other numpy/scipy/BLAS builds is unverified: the
+    L-BFGS paths can drift in the last digits there.
+    """
+    phases, cost = fit_phases(ChebyshevPoly((0.3, 0.0, 0.5), "even"), 2, seed=11, restarts=3)
+    assert phases.phases == pytest.approx(PINNED_FIT_PHASES, abs=1e-9, rel=0)
+    assert cost == pytest.approx(PINNED_FIT_COST, abs=1e-9, rel=0)
+
+    phases, cost = fit_ite_phases(2.0, 4, seed=3)  # two rungs: s = 1, then s = 2
+    assert phases.phases == pytest.approx(PINNED_ITE_PHASES, abs=1e-9, rel=0)
+    assert cost == pytest.approx(PINNED_ITE_COST, abs=1e-9, rel=0)
+
+    pairs = fixed_point_via_sign(6, 0.35, 0.05, seed=3).grover_pairs()  # eta ladder
+    assert len(pairs) == len(PINNED_SIGN_PAIRS)
+    for got, want in zip(pairs, PINNED_SIGN_PAIRS):
+        assert got == pytest.approx(want, abs=1e-9, rel=0)
+
+
 def test_poly_json_roundtrip():
     poly = sign_poly(0.2, 0.05)
     payload = json.loads(poly.to_json())
