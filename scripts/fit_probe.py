@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Fit a fixed probe set and write its phases and costs as exact JSON.
+
+A change meant to leave the fits untouched (a faster kernel, a refactor of the
+fit driver) can be checked by running this on both sides and comparing bytes:
+
+    PYTHONPATH=src python scripts/fit_probe.py before.json   # on the old tree
+    PYTHONPATH=src python scripts/fit_probe.py after.json    # on the new tree
+    cmp before.json after.json
+
+Floats are written with ``repr``, which round-trips exactly, so equal files
+mean bit-for-bit equal fits.  Compare runs made in the same environment: a
+different numpy/scipy/BLAS build or thread count may move the last digits.
+The probe set takes 10-20 s on a 2-CPU x86-64 host.
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+from grover_ite_lab.qsp_engine import (
+    ChebyshevPoly,
+    fit_ite_phases,
+    fit_phases,
+    fixed_point_via_sign,
+    sign_poly,
+)
+
+
+def _fit(phases_and_cost):
+    phases, cost = phases_and_cost
+    return {"phases": [repr(p) for p in phases.phases], "cost": repr(cost)}
+
+
+def _schedule(schedule):
+    return {"pairs": [[repr(a), repr(b)] for a, b in schedule.grover_pairs()]}
+
+
+PROBES = {
+    "fit_phases linear K=1 seed=5": lambda: _fit(
+        fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 1, seed=5, restarts=4)),
+    "fit_phases (0.5,0,0.5) K=2 seed=11": lambda: _fit(
+        fit_phases(ChebyshevPoly((0.5, 0.0, 0.5), "even"), 2, seed=11, restarts=3)),
+    "fit_phases (0.3,0,0.5) K=2 seed=11": lambda: _fit(
+        fit_phases(ChebyshevPoly((0.3, 0.0, 0.5), "even"), 2, seed=11, restarts=3)),
+    "fit_phases sign_poly(0.3,0.2) K=9 seed=0": lambda: _fit(
+        fit_phases(sign_poly(0.3, 0.2), 9, seed=0, restarts=2)),
+    "fit_ite_phases s=0.5 K=8": lambda: _fit(fit_ite_phases(0.5, 8)),
+    "fit_ite_phases s=2 K=8": lambda: _fit(fit_ite_phases(2.0, 8)),
+    "fit_ite_phases s=3 K=8": lambda: _fit(fit_ite_phases(3.0, 8)),
+    "fit_ite_phases s=2 K=4 seed=3": lambda: _fit(fit_ite_phases(2.0, 4, seed=3)),
+    "fit_ite_phases s=1 K=16": lambda: _fit(fit_ite_phases(1.0, 16)),
+    "fixed_point_via_sign N=6 eta=0.35 cap=0.05 seed=3": lambda: _schedule(
+        fixed_point_via_sign(6, 0.35, 0.05, seed=3)),
+}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out", type=Path, help="where to write the JSON")
+    args = parser.parse_args(argv)
+    results = {}
+    for name, probe in PROBES.items():
+        start = time.perf_counter()
+        results[name] = probe()
+        print(f"{name}: {time.perf_counter() - start:.1f}s", file=sys.stderr)
+    args.out.write_text(json.dumps(results, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigInvalid("delta2 must be in (0, 1)")
         if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
+        if not self.n_qubits:
+            raise ConfigInvalid("n_qubits must list at least one qubit count")
         if any(n < 1 or n > 14 for n in self.n_qubits):
             raise ConfigInvalid("n_qubits entries must be in 1..14")
         if any(s < 0 for s in self.s_values):
@@ -191,9 +193,9 @@ def _ite_infidelities(phases: QspPhases, s: float, n: int) -> list[tuple[int, fl
     e0s = ms / big_n
     xs = np.sqrt(e0s)
     a = phases_to_dr_angles(phases)
-    states = _dr_forward(a, xs)[-1]
+    state = _dr_forward(a, xs)[-1]
     theta = s * xs * np.sqrt(1.0 - xs ** 2)
-    overlap = np.cos(theta) * states[:, 0] + np.sin(theta) * states[:, 1]
+    overlap = np.cos(theta) * state[0] + np.sin(theta) * state[1]
     inf = 1.0 - np.abs(overlap) ** 2
     return [(int(m), float(e), float(i)) for m, e, i in zip(ms, e0s, inf)]
 

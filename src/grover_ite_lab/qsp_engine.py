@@ -477,40 +477,83 @@ def sign_poly(eta: float, delta_cap: float) -> ChebyshevPoly:
 # Phase fitting
 
 
-def _dr_forward(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Prefix states of the product of D(a_j) X(x) factors applied to (1, 0)."""
-    k, n = len(a), len(xs)
+def _reflector(xs: np.ndarray):
+    """The signal reflection X(x) = [[x, r], [r, -x]], r = sqrt(1 - x^2), as a step.
+
+    Returns step(v, out0, out1), which writes the two rows of X(x) v for a
+    (2, n_d) complex state v: one product with the (2, 2, n_d) array
+    [[x, r], [r, x]], then row 0 as a sum and row 1 as a difference.  Row 1
+    stays a subtraction, r v0 - x v1: storing -x and adding instead flips the
+    sign of some zero results at x = 0 and x = 1, where arg() of the final
+    state then jumps by pi and the contract cost moves.  Outputs are passed
+    positionally: numpy parses a keyword ``out`` more slowly, and a fit makes
+    hundreds of thousands of these calls.
+    """
     r = np.sqrt(1.0 - xs ** 2)
-    ph = np.exp(1j * a)
-    pre = np.empty((k + 1, n, 2), dtype=complex)
-    st = np.zeros((n, 2), dtype=complex)
-    st[:, 0] = 1.0
-    pre[0] = st
-    for j in range(k):
-        v0 = xs * st[:, 0] + r * st[:, 1]
-        v1 = r * st[:, 0] - xs * st[:, 1]
-        st = np.empty_like(st)
-        st[:, 0] = ph[j] * v0
-        st[:, 1] = v1
-        pre[j + 1] = st
+    refl = np.array([[xs, r], [r, xs]], dtype=complex)
+    prod = np.empty_like(refl)
+    p00, p01, p10, p11 = prod[0, 0], prod[0, 1], prod[1, 0], prod[1, 1]
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def step(v, out0, out1):
+        mul(refl, v, prod)
+        add(p00, p01, out0)
+        sub(p10, p11, out1)
+
+    return step
+
+
+def _dr_forward(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Prefix states of the product of D(a_j) X(x) factors applied to (1, 0).
+
+    Returns a (K+1, 2, n_d) array: pre[j, c] is component c of the state after
+    the first j factors, at every signal point.
+    """
+    step, mul = _reflector(xs), np.multiply
+    pre = np.empty((len(a) + 1, 2, len(xs)), dtype=complex)
+    pre[0, 0] = 1.0
+    pre[0, 1] = 0.0
+    for cur, nxt, ph in zip(pre[:-1], pre[1:], np.exp(1j * a)):
+        nxt0 = nxt[0]
+        step(cur, nxt0, nxt[1])
+        # The complex scalar stays the left operand: numpy's SIMD complex
+        # product rounds ph * v and v * ph (or v *= ph) differently.
+        mul(ph, nxt0, nxt0)
     return pre
 
 
 def _dr_backward(pre: np.ndarray, seed: np.ndarray, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Reverse sweep: gradient of a real cost with cochain `seed` w.r.t. angles."""
-    k = len(a)
-    r = np.sqrt(1.0 - xs ** 2)
-    ph = np.exp(1j * a)
-    grad = np.empty(k)
-    m = seed
-    for j in range(k - 1, -1, -1):
-        grad[j] = -np.sum(np.imag(np.conj(m[:, 0]) * pre[j + 1][:, 0]))
-        t0 = np.conj(ph[j]) * m[:, 0]
-        t1 = m[:, 1]
-        m = np.empty_like(m)
-        m[:, 0] = xs * t0 + r * t1
-        m[:, 1] = r * t0 - xs * t1
-    return grad
+    """Reverse sweep: gradient of a real cost with cochain `seed` w.r.t. angles.
+
+    ``pre`` is the (K+1, 2, n_d) output of _dr_forward and ``seed`` the (2, n_d)
+    derivative of the cost with respect to the final state's conjugate.
+    """
+    step, mul = _reflector(xs), np.multiply
+    m = np.array(seed, dtype=complex, order="C")
+    m0, m1 = m
+    # conj of the first cochain component that meets angle j, for the gradient
+    mc = np.empty((len(a), len(xs)), dtype=complex)
+    for mcj, ph in zip(mc[::-1], np.conj(np.exp(1j * a[::-1]))):
+        np.conjugate(m0, mcj)
+        mul(ph, m0, m0)
+        step(m, m0, m1)
+    return -np.add.reduce(np.imag(mc * pre[1:, 0]), axis=1)
+
+
+def _final_state(a: np.ndarray, xs: np.ndarray):
+    """Prefix states and the final state as an (n_d, 2) array.
+
+    The cost terms read p and q as strided columns of the (n_d, 2) copy: on
+    contiguous rows numpy's SIMD complex product (p * conj(q)) rounds
+    differently, which would move the fitted phases in their last bits.
+    """
+    pre = _dr_forward(a, xs)
+    return pre, pre[-1].T.copy()
+
+
+def _mean(v: np.ndarray):
+    """np.mean of a 1-D array, bit for bit, without its Python-level wrapper."""
+    return np.add.reduce(v) / len(v)
 
 
 def contract_cost_grad(a, xs, target_vals, lam1: float, lam2: float):
@@ -521,16 +564,16 @@ def contract_cost_grad(a, xs, target_vals, lam1: float, lam2: float):
     """
     a = np.asarray(a, dtype=float)
     n = len(xs)
-    pre = _dr_forward(a, xs)
-    p = pre[-1][:, 0]
-    q = pre[-1][:, 1]
+    pre, v = _final_state(a, xs)
+    p = v[:, 0]
+    q = v[:, 1]
     res = p.real - target_vals
     w = p * np.conj(q)
     phi = np.angle(w)
-    cost = float(np.mean(res ** 2) + lam1 * np.mean(p.imag ** 2) + lam2 * np.mean(phi ** 2))
+    cost = float(_mean(res ** 2) + lam1 * _mean(p.imag ** 2) + lam2 * _mean(phi ** 2))
 
-    seed = np.zeros((n, 2), dtype=complex)
-    seed[:, 0] = (2.0 / n) * res + 1j * (2.0 * lam1 / n) * p.imag
+    seed = np.zeros((2, n), dtype=complex)
+    seed[0] = (2.0 / n) * res + 1j * (2.0 * lam1 / n) * p.imag
     absp2 = np.abs(p) ** 2
     absq2 = np.abs(q) ** 2
     ok = (absp2 > 1e-300) & (absq2 > 1e-300)
@@ -538,8 +581,8 @@ def contract_cost_grad(a, xs, target_vals, lam1: float, lam2: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         dphi_dp = np.where(ok, (-p.imag + 1j * p.real) / np.where(ok, absp2, 1.0), 0.0)
         dphi_dq = np.where(ok, (q.imag - 1j * q.real) / np.where(ok, absq2, 1.0), 0.0)
-    seed[:, 0] += coef * dphi_dp
-    seed[:, 1] += coef * dphi_dq
+    seed[0] += coef * dphi_dp
+    seed[1] += coef * dphi_dq
     return cost, _dr_backward(pre, seed, a, xs)
 
 
@@ -547,12 +590,12 @@ def _mse_cost_grad(a, xs, target_vals, lam1: float):
     """Fit cost without the relative-phase term; used for exploration stages."""
     a = np.asarray(a, dtype=float)
     n = len(xs)
-    pre = _dr_forward(a, xs)
-    p = pre[-1][:, 0]
+    pre, v = _final_state(a, xs)
+    p = v[:, 0]
     res = p.real - target_vals
-    cost = float(np.mean(res ** 2) + lam1 * np.mean(p.imag ** 2))
-    seed = np.zeros((n, 2), dtype=complex)
-    seed[:, 0] = (2.0 / n) * res + 1j * (2.0 * lam1 / n) * p.imag
+    cost = float(_mean(res ** 2) + lam1 * _mean(p.imag ** 2))
+    seed = np.zeros((2, n), dtype=complex)
+    seed[0] = (2.0 / n) * res + 1j * (2.0 * lam1 / n) * p.imag
     return cost, _dr_backward(pre, seed, a, xs)
 
 
@@ -560,12 +603,11 @@ def _statematch_cost_grad(a, xs, theta_vals):
     """mean || state - (cos theta, sin theta) ||^2; phase-pinned guide cost."""
     a = np.asarray(a, dtype=float)
     n = len(xs)
-    pre = _dr_forward(a, xs)
-    v = pre[-1]
+    pre, v = _final_state(a, xs)
     t = np.stack([np.cos(theta_vals), np.sin(theta_vals)], axis=1).astype(complex)
-    d = v - t
-    cost = float(np.sum(np.abs(d) ** 2) / n)
-    return cost, _dr_backward(pre, (2.0 / n) * d, a, xs)
+    d = v - t  # (n_d, 2): the sum below runs in that order
+    cost = float(np.add.reduce(np.abs(d) ** 2, axis=None) / n)
+    return cost, _dr_backward(pre, ((2.0 / n) * d).T, a, xs)
 
 
 def _lbfgs(fg, x0, maxiter: int = 4000):

@@ -304,3 +304,14 @@ def test_cli_strict_passes_on_met_thresholds():
          "--seed", "3", "--strict"],
     )
     assert res.exit_code == 0
+
+
+def test_cli_empty_n_qubits_exits_2(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_qubits": [], "iterations": 2, "s_values": [0.5]}))
+    res = CliRunner().invoke(main, ["bench", "fig-a", "--json-config", str(cfg_path)])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "n_qubits" in res.output
+    with pytest.raises(ConfigInvalid, match="n_qubits"):
+        ExperimentConfig.for_experiment("fig-c", n_qubits=())

@@ -10,6 +10,9 @@ from grover_ite_lab.errors import DegreeTooSmall, DomainError, NonAlternatingSch
 from grover_ite_lab.grover_engine import reduced_iterate_product
 from grover_ite_lab.qsp_engine import (
     ChebyshevPoly,
+    _dr_forward,
+    _mse_cost_grad,
+    _statematch_cost_grad,
     QspPhases,
     check_achievability,
     contract_cost_grad,
@@ -208,18 +211,53 @@ def test_sign_poly_degree_scales_inversely_with_eta():
     assert 1.5 <= d1 / d2 <= 2.7
 
 
-def test_contract_cost_gradient_matches_finite_differences(rng):
-    xs = np.linspace(0, 1, 21)
-    tv = np.cos(1.7 * xs * np.sqrt(1 - xs ** 2))
-    a = rng.normal(0, 0.8, 7)
-    cost, grad = contract_cost_grad(a, xs, tv, 0.01, 0.1)
+FD_XS = np.linspace(0, 1, 21)
+FD_THETA = 1.7 * FD_XS * np.sqrt(1 - FD_XS ** 2)
+
+
+def assert_gradient_matches_finite_differences(cost_grad, a):
+    """Central differences with step 1e-7 against the analytic gradient."""
+    _, grad = cost_grad(a)
     eps = 1e-7
-    for j in range(7):
-        step = np.zeros(7)
+    for j in range(len(a)):
+        step = np.zeros(len(a))
         step[j] = eps
-        cp, _ = contract_cost_grad(a + step, xs, tv, 0.01, 0.1)
-        cm, _ = contract_cost_grad(a - step, xs, tv, 0.01, 0.1)
+        cp, _ = cost_grad(a + step)
+        cm, _ = cost_grad(a - step)
         assert grad[j] == pytest.approx((cp - cm) / (2 * eps), abs=1e-6, rel=1e-5)
+
+
+def test_contract_cost_gradient_matches_finite_differences(rng):
+    tv = np.cos(FD_THETA)
+    assert_gradient_matches_finite_differences(
+        lambda a: contract_cost_grad(a, FD_XS, tv, 0.01, 0.1), rng.normal(0, 0.8, 7))
+
+
+def test_mse_cost_gradient_matches_finite_differences(rng):
+    tv = np.cos(FD_THETA)
+    assert_gradient_matches_finite_differences(
+        lambda a: _mse_cost_grad(a, FD_XS, tv, 0.01), rng.normal(0, 0.8, 7))
+
+
+def test_statematch_cost_gradient_matches_finite_differences(rng):
+    assert_gradient_matches_finite_differences(
+        lambda a: _statematch_cost_grad(a, FD_XS, FD_THETA), rng.normal(0, 0.8, 7))
+
+
+@given(
+    st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=12),
+    st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_sequence_product(angles, extra_xs):
+    """The sweep's final state is the D-X product applied to (1, 0), x = 0 and 1 included."""
+    xs = np.array([0.0, 1.0] + extra_xs)
+    pre = _dr_forward(np.array(angles), xs)
+    assert pre.shape == (len(angles) + 1, 2, len(xs))
+    phases = dr_angles_to_phases(angles)
+    for i, x in enumerate(xs):
+        want = qsp_matrix(phases, float(x)) @ np.array([1.0, 0.0])
+        assert np.abs(pre[-1, :, i] - want).max() <= 1e-12
 
 
 def test_fit_phases_linear_target():
