@@ -2,7 +2,8 @@
 """Regenerate the checked benchmark CSVs (one per bench.CHECKS entry) into results/.
 
 Phase fits are cached (GROVER_ITE_CACHE_DIR), so reruns are fast and
-bitwise-identical for a fixed seed.
+bitwise-identical for a fixed seed.  Exits 3, as ``bench --strict`` does, when
+any check misses its thresholds.
 """
 
 import argparse
@@ -25,6 +26,7 @@ def main(argv=None):
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     experiments = [args.only] if args.only else list(bench.CHECKS)
+    missed = False
     for name in experiments:
         config = bench.ExperimentConfig.for_experiment(name, seed=args.seed)
         start = time.time()
@@ -35,8 +37,9 @@ def main(argv=None):
         if name in bench.CHECKS:
             ok, message = bench.CHECKS[name](config, rows)
             line += f"  [{'ok' if ok else 'THRESHOLD MISS'}: {message}]"
+            missed = missed or not ok
         print(line)
-    return 0
+    return 3 if missed else 0
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -41,7 +42,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid
-from .grover_engine import NamedSchedule, run_schedule
+# run_schedule stays importable from here: perfbench's traced run wraps bench.run_schedule
+from .grover_engine import NamedSchedule, run_reduced, run_schedule  # noqa: F401
 from .pf_compiler import AngleSchedule
 from .qsp_engine import (
     QspPhases,
@@ -52,7 +54,6 @@ from .qsp_engine import (
     phases_to_dr_angles,
     qsp_to_grover,
 )
-from .search_core import SearchInstance
 
 CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
 
@@ -65,6 +66,40 @@ _DEFAULTS = {
     "fixed-point": dict(n_qubits=(8,), iterations=20, s_values=()),
     "custom": dict(n_qubits=(8,), iterations=16, s_values=()),
 }
+
+
+def _number(value, kind):
+    if isinstance(value, (str, bytes)):  # float("0.5") would pass a quoted number
+        raise TypeError(f"expected a number, got {value!r}")
+    return operator.index(value) if kind is int else float(value)
+
+
+def _numbers(values, kind) -> tuple:
+    if isinstance(values, (str, bytes)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return tuple(_number(v, kind) for v in values)
+
+
+def _optional_str(value):
+    if not isinstance(value, (str, type(None))):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# How each config field is coerced; JSON configs can carry any type.
+_COERCE = {
+    "n_qubits": lambda v: _numbers(v, int),
+    "iterations": lambda v: _number(v, int),
+    "s_values": lambda v: _numbers(v, float),
+    "delta2": lambda v: _number(v, float),
+    "seed": lambda v: _number(v, int),
+    "out": _optional_str,
+    "schedule": _optional_str,
+    "marked_counts": lambda v: None if v is None else _numbers(v, int),
+    "eta": lambda v: _number(v, float),
+    "restarts": lambda v: _number(v, int),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -83,6 +118,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _DEFAULTS:
             raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
+        for name, coerce in _COERCE.items():
+            try:
+                object.__setattr__(self, name, coerce(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalid(f"{name}: {exc}") from None
         if self.iterations < 1:
             raise ConfigInvalid("iterations must be >= 1")
         if not 0.0 < self.delta2 < 1.0:
@@ -95,8 +135,6 @@ class ExperimentConfig:
             raise ConfigInvalid("n_qubits entries must be in 1..14")
         if any(s < 0 for s in self.s_values):
             raise ConfigInvalid("s_values must be nonnegative")
-        object.__setattr__(self, "n_qubits", tuple(int(n) for n in self.n_qubits))
-        object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
 
     @classmethod
     def for_experiment(cls, experiment: str, **overrides) -> "ExperimentConfig":
@@ -278,19 +316,22 @@ def resolve_schedule(token: str, config: ExperimentConfig):
     raise ConfigInvalid(f"unknown schedule {token!r}")
 
 
-def _overlap_rows(config: ExperimentConfig, names: list[str]) -> list[tuple]:
-    n = config.n_qubits[0]
-    big_n = 1 << n
-    ms = config.marked_counts or tuple(range(1, big_n))
+def _marked_counts(config: ExperimentConfig) -> list[int]:
+    """The swept marked counts in order: config.marked_counts, or 1..N-1."""
+    big_n = 1 << config.n_qubits[0]
+    ms = config.marked_counts or range(1, big_n)
     if any(not 1 <= m <= big_n - 1 for m in ms):
         raise ConfigInvalid("marked_counts must lie in 1..N-1")
+    return sorted(ms)
+
+
+def _overlap_rows(config: ExperimentConfig, names: list[str]) -> list[tuple]:
+    ms = _marked_counts(config)
+    e0s = [m / (1 << config.n_qubits[0]) for m in ms]
     rows = []
     for name in sorted(names):
-        schedule = resolve_schedule(name, config)
-        for m in sorted(ms):
-            inst = SearchInstance(n, tuple(range(m)))
-            _, trace = run_schedule(inst, schedule, mode="reduced")
-            rows.append((name, int(m), m / big_n, float(trace[-1])))
+        _, trace = run_reduced(resolve_schedule(name, config), e0s)
+        rows += [(name, m, e0, float(ov)) for m, e0, ov in zip(ms, e0s, trace[-1])]
     return rows
 
 
@@ -314,21 +355,8 @@ def custom_rows(config: ExperimentConfig):
     """Generic sweep: schedule-overlap rows, or flow-infidelity rows, or empty."""
     if config.schedule is not None:
         return "overlap", _overlap_rows(config, [config.schedule])
-    if not config.s_values:
-        return "infidelity", []
-    n = config.n_qubits[0]
-    big_n = 1 << n
-    ms = config.marked_counts or tuple(range(1, big_n))
-    if any(not 1 <= m <= big_n - 1 for m in ms):
-        raise ConfigInvalid("marked_counts must lie in 1..N-1")
-    wanted = set(int(m) for m in ms)
-    rows = []
-    for s in sorted(config.s_values):
-        phases = fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
-        for m, e0, inf in _ite_infidelities(phases, s, n):
-            if m in wanted:
-                rows.append((s, m, e0, inf))
-    return "infidelity", rows
+    wanted = set(_marked_counts(config))
+    return "infidelity", [row for row in fig_a_rows(config) if row[1] in wanted]
 
 
 # ---------------------------------------------------------------------------

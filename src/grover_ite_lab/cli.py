@@ -107,7 +107,12 @@ def _build_config(experiment, n_qubits, iters, s_values, delta2, seed, restarts,
         "out": out,
     }
     if json_config:
-        loaded = json.loads(Path(json_config).read_text())
+        try:
+            loaded = json.loads(Path(json_config).read_text())
+        except ValueError as exc:
+            raise ConfigInvalid(f"--json-config is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigInvalid("--json-config must hold a JSON object")
         loaded.pop("experiment", None)
         overrides.update(loaded)
     return bench.ExperimentConfig.for_experiment(experiment, **overrides)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyMarkedSet, NonAlternatingSchedule, NumericalDomain
 from .pf_compiler import AngleSchedule, Generator, Pulse
+from .qsp_engine import _dr_forward, reflection_matrix
 from .search_core import (
     ReducedState,
     SearchInstance,
@@ -30,17 +31,6 @@ from .search_core import (
 )
 
 NORM_DRIFT_LIMIT = 1e-10
-
-
-def reflection_matrix(x: float) -> np.ndarray:
-    """Signal reflection [[x, sqrt(1-x^2)], [sqrt(1-x^2), -x]]; involutive."""
-    r = math.sqrt(max(0.0, 1.0 - x * x))
-    return np.array([[x, r], [r, -x]], dtype=complex)
-
-
-def sz_matrix(phi: float) -> np.ndarray:
-    """Processing rotation diag(e^{i phi}, e^{-i phi})."""
-    return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
 
 
 def diffusion_reduced(alpha: float) -> np.ndarray:
@@ -53,30 +43,22 @@ def oracle_reduced(e0: float, beta: float) -> np.ndarray:
 
 
 def diffusion(inst: SearchInstance, alpha: float, state):
-    """Apply exp(i alpha |psi0><psi0|); accepts a full vector or ReducedState."""
-    if isinstance(state, ReducedState):
-        return ReducedState.from_array(diffusion_reduced(alpha) @ state.to_array())
+    """Apply exp(i alpha |psi0><psi0|) to a full state vector."""
     state = np.asarray(state, dtype=complex)
     psi0 = make_initial(inst)
     return state + (np.exp(1j * alpha) - 1.0) * psi0 * np.vdot(psi0, state)
 
 
 def oracle(inst: SearchInstance, beta: float, state):
-    """Apply exp(i beta H_f); accepts a full vector or ReducedState."""
-    if isinstance(state, ReducedState):
-        inst.require_nondegenerate()
-        return ReducedState.from_array(oracle_reduced(inst.e0, beta) @ state.to_array())
+    """Apply exp(i beta H_f) to a full state vector."""
     out = np.array(state, dtype=complex)
     out[list(inst.marked)] *= np.exp(1j * beta)
     return out
 
 
 def grover_iterate(inst: SearchInstance, alpha: float, beta: float, state):
-    """One iterate -D(alpha) U_f(beta) applied to the state."""
-    out = diffusion(inst, alpha, oracle(inst, beta, state))
-    if isinstance(out, ReducedState):
-        return ReducedState(-out.c0, -out.c1)
-    return -out
+    """One iterate -D(alpha) U_f(beta) applied to a full state vector."""
+    return -diffusion(inst, alpha, oracle(inst, beta, state))
 
 
 def reduced_iterate_product(e0: float, pairs) -> np.ndarray:
@@ -142,13 +124,49 @@ def fixed_point_angles(iterations: int, delta: float) -> AngleSchedule:
 
 
 def success_probability(inst: SearchInstance, state) -> float:
-    """|<solution|state>|^2."""
+    """|<solution|state>|^2 for a full state vector."""
     if inst.n_marked == 0:
         raise EmptyMarkedSet("no marked items")
-    if isinstance(state, ReducedState):
-        target = np.array([math.sqrt(inst.e0), math.sqrt(1.0 - inst.e0)])
-        return float(abs(np.vdot(target, state.to_array())) ** 2)
     return float(abs(np.vdot(make_solution(inst), np.asarray(state))) ** 2)
+
+
+def _schedule_steps(schedule) -> list:
+    """("pair", (alpha, beta)) per iterate, or ("pulse", Pulse) if not alternating."""
+    if isinstance(schedule, NamedSchedule):
+        return [("pair", ab) for ab in schedule.angle_pairs()]
+    try:
+        return [("pair", ab) for ab in schedule.grover_pairs()]
+    except NonAlternatingSchedule:
+        return [("pulse", p) for p in schedule.canonical().pulses]
+
+
+def run_reduced(schedule, e0s) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced run of a schedule at every overlap in ``e0s``, as one 2x2 sweep.
+
+    Returns the final {psi0, psi0_perp} states (2, n) and the success traces
+    (steps, n), steps as in ``run_schedule``.  A step is two D(a) X(x) factors
+    of qsp_engine's sweep at x = sqrt(e0): an iterate (alpha, beta) is
+    (beta, alpha) times -1, an oracle pulse X D(beta) X is (beta, 0), and a
+    diffusion pulse D(alpha) = D(alpha) X X is (0, alpha).
+    """
+    angles, sign = [], 1.0
+    for tag, step in _schedule_steps(schedule):
+        if tag == "pair":
+            alpha, beta = step
+            angles += [beta, alpha]
+            sign = -sign
+        elif step.generator is Generator.ORACLE:
+            angles += [step.angle, 0.0]
+        else:
+            angles += [0.0, step.angle]
+    e0s = np.asarray(e0s, dtype=float)
+    pre = _dr_forward(np.array(angles, dtype=float), np.sqrt(e0s))
+    states = pre[2::2]
+    drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max(initial=0.0)
+    if drift > NORM_DRIFT_LIMIT:
+        raise NumericalDomain(f"norm drift {drift:.2e} beyond limit")
+    trace = np.abs(np.sqrt(e0s) * states[:, 0] + np.sqrt(1.0 - e0s) * states[:, 1]) ** 2
+    return sign * pre[-1], trace
 
 
 def run_schedule(inst: SearchInstance, schedule, mode: str = "full"):
@@ -157,36 +175,27 @@ def run_schedule(inst: SearchInstance, schedule, mode: str = "full"):
     ``schedule`` is an AngleSchedule or NamedSchedule.  Alternating schedules
     run as Grover iterates (one trace entry per iterate, global (-1) applied);
     non-alternating pulse lists run pulse by pulse.  Norm drift beyond 1e-10
-    is an error rather than a silent renormalization.
+    is an error rather than a silent renormalization.  The reduced mode
+    returns a ReducedState and runs through ``run_reduced``.
     """
     if mode not in ("full", "reduced"):
         raise DomainError(f"mode must be 'full' or 'reduced', got {mode!r}")
-    if isinstance(schedule, NamedSchedule):
-        pairs = schedule.angle_pairs()
-        steps = [("pair", ab) for ab in pairs]
-    else:
-        try:
-            steps = [("pair", ab) for ab in schedule.grover_pairs()]
-        except NonAlternatingSchedule:
-            steps = [("pulse", p) for p in schedule.canonical().pulses]
-
     if mode == "reduced":
         inst.require_nondegenerate()
-        state = ReducedState(1.0 + 0.0j, 0.0 + 0.0j)
-    else:
-        state = make_initial(inst)
+        final, trace = run_reduced(schedule, [inst.e0])
+        return ReducedState.from_array(final[:, 0]), [float(p) for p in trace[:, 0]]
 
+    state = make_initial(inst)
     trace = []
-    for tag, step in steps:
+    for tag, step in _schedule_steps(schedule):
         if tag == "pair":
             alpha, beta = step
             state = grover_iterate(inst, alpha, beta, state)
+        elif step.generator is Generator.ORACLE:
+            state = oracle(inst, step.angle, state)
         else:
-            if step.generator is Generator.ORACLE:
-                state = oracle(inst, step.angle, state)
-            else:
-                state = diffusion(inst, step.angle, state)
-        nrm = state.norm if isinstance(state, ReducedState) else float(np.linalg.norm(state))
+            state = diffusion(inst, step.angle, state)
+        nrm = float(np.linalg.norm(state))
         if abs(nrm - 1.0) > NORM_DRIFT_LIMIT:
             raise NumericalDomain(f"norm drift {abs(nrm - 1.0):.2e} beyond limit")
         trace.append(success_probability(inst, state))

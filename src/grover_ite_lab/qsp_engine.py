@@ -50,7 +50,6 @@ from .errors import (
     NumericalDomain,
     OptimizerDiverged,
 )
-from .grover_engine import reflection_matrix, sz_matrix
 from .pf_compiler import AngleSchedule, Generator, Pulse
 
 # ---------------------------------------------------------------------------
@@ -81,6 +80,17 @@ class QspPhases:
     def from_json(cls, text: str) -> "QspPhases":
         payload = json.loads(text)
         return cls(tuple(payload["phases"]), payload["convention"])
+
+
+def reflection_matrix(x: float) -> np.ndarray:
+    """Signal reflection [[x, sqrt(1-x^2)], [sqrt(1-x^2), -x]]; involutive."""
+    r = math.sqrt(max(0.0, 1.0 - x * x))
+    return np.array([[x, r], [r, -x]], dtype=complex)
+
+
+def sz_matrix(phi: float) -> np.ndarray:
+    """Processing rotation diag(e^{i phi}, e^{-i phi})."""
+    return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
 
 
 def _w_matrix(x: float) -> np.ndarray:
@@ -599,13 +609,12 @@ def _mse_cost_grad(a, xs, target_vals, lam1: float):
     return cost, _dr_backward(pre, seed, a, xs)
 
 
-def _statematch_cost_grad(a, xs, theta_vals):
-    """mean || state - (cos theta, sin theta) ||^2; phase-pinned guide cost."""
+def _statematch_cost_grad(a, xs, target):
+    """mean || state - target ||^2 for an (n_d, 2) target; phase-pinned guide cost."""
     a = np.asarray(a, dtype=float)
     n = len(xs)
     pre, v = _final_state(a, xs)
-    t = np.stack([np.cos(theta_vals), np.sin(theta_vals)], axis=1).astype(complex)
-    d = v - t  # (n_d, 2): the sum below runs in that order
+    d = v - target  # (n_d, 2): the sum below runs in that order
     cost = float(np.add.reduce(np.abs(d) ** 2, axis=None) / n)
     return cost, _dr_backward(pre, ((2.0 / n) * d).T, a, xs)
 
@@ -733,8 +742,9 @@ def fit_ite_phases(
     def rung(duration: float, goal: float):
         theta = duration * xs * np.sqrt(1.0 - xs ** 2)
         tv = np.cos(theta)
+        target = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
         full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
-        guide = lambda a: _statematch_cost_grad(a, xs, theta)
+        guide = lambda a: _statematch_cost_grad(a, xs, target)
         return ((guide, full), (full,)), goal
 
     rungs = [rung(float(v), 1e-7) for v in np.arange(1.0, s, 1.0)] + [rung(float(s), 1e-10)]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -32,6 +33,10 @@ def test_config_validation():
         ExperimentConfig.for_experiment("custom", n_qubits=(20,))
     with pytest.raises(ConfigInvalid):
         ExperimentConfig.for_experiment("custom", delta2=2.0)
+    for bad in (dict(n_qubits=8), dict(iterations=2.5), dict(s_values="12"),
+                dict(delta2="0.1"), dict(schedule=5)):
+        with pytest.raises(ConfigInvalid, match=next(iter(bad))):
+            ExperimentConfig.for_experiment("custom", **bad)
 
 
 def test_unknown_schedule_token_carries_token():
@@ -136,6 +141,34 @@ def test_fixed_point_rows_cheap():
     assert all(ov >= level - 1e-9 for e0, ov in cheb if e0 >= valid_from)
     text, _ = bench.run_fixed_point(cfg)
     assert "# chebyshev_valid_e0_min=" in text
+
+
+def test_fixed_point_rows_match_closed_forms():
+    # original pi: sin^2((2N+1) arcsin sqrt e0); quasi-Chebyshev (Yoder, Low &
+    # Chuang 2014): 1 - delta^2 T_L(gamma sqrt(1 - e0))^2, L = 2N+1
+    n_iter, delta2 = 6, 0.1
+    cfg = ExperimentConfig.for_experiment(
+        "fixed-point", n_qubits=(5,), iterations=n_iter, delta2=delta2, eta=0.35, seed=3
+    )
+    rows, _ = bench.fixed_point_rows(cfg)
+    big_l = 2 * n_iter + 1
+    gamma = np.cosh(np.arccosh(1.0 / np.sqrt(delta2)) / big_l)
+
+    def chebyshev_t(x):
+        return np.cos(big_l * np.arccos(x)) if x <= 1.0 else np.cosh(big_l * np.arccosh(x))
+
+    closed = {
+        "original-pi": lambda e0: np.sin(big_l * np.arcsin(np.sqrt(e0))) ** 2,
+        "fixed-point-chebyshev":
+            lambda e0: 1.0 - delta2 * chebyshev_t(gamma * np.sqrt(1.0 - e0)) ** 2,
+    }
+    checked = 0
+    for name, m, e0, overlap in rows:
+        assert e0 == m / 32
+        if name in closed:
+            assert abs(overlap - closed[name](e0)) < 1e-10
+            checked += 1
+    assert checked == 2 * 31
 
 
 def test_resolve_schedule_json_path(tmp_path):
@@ -315,3 +348,36 @@ def test_cli_empty_n_qubits_exits_2(tmp_path):
     assert "n_qubits" in res.output
     with pytest.raises(ConfigInvalid, match="n_qubits"):
         ExperimentConfig.for_experiment("fig-c", n_qubits=())
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([4, 2]),
+    json.dumps({"n_qubits": 8}),
+    json.dumps({"s_values": ["x"]}),
+])
+def test_cli_malformed_json_config_exits_2(tmp_path, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    res = CliRunner().invoke(main, ["bench", "custom", "--json-config", str(cfg_path)])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output
+    assert "Traceback" not in res.output
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("ok, code", [(True, 0), (False, 3)])
+def test_run_experiments_exit_code_on_threshold_miss(tmp_path, monkeypatch, capsys, ok, code):
+    script = _load_script("run_experiments")
+    monkeypatch.setitem(bench.RUNNERS, "fig-b", lambda config: ("# stub\n", []))
+    monkeypatch.setitem(bench.CHECKS, "fig-b", lambda config, rows: (ok, "stub check"))
+    assert script.main(["--only", "fig-b", "--out-dir", str(tmp_path / "out")]) == code
+    assert ("THRESHOLD MISS" in capsys.readouterr().out) is not ok

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grover_ite_lab.errors import DomainError, EmptyMarkedSet
 from grover_ite_lab.grover_engine import (
@@ -13,12 +15,18 @@ from grover_ite_lab.grover_engine import (
     oracle,
     oracle_reduced,
     reduced_iterate_product,
+    run_reduced,
     run_schedule,
     success_probability,
 )
-from grover_ite_lab.pf_compiler import compile_formula, GroupCommutator
+from grover_ite_lab.pf_compiler import (
+    AngleSchedule,
+    Generator,
+    GroupCommutator,
+    Pulse,
+    compile_formula,
+)
 from grover_ite_lab.search_core import (
-    ReducedState,
     SearchInstance,
     make_initial,
     make_perp,
@@ -66,11 +74,19 @@ def test_full_vs_reduced_operators(rng):
         assert np.abs(b.conj().T @ u_full @ b - oracle_reduced(INST.e0, beta)).max() < 1e-12
 
 
+def pair_schedule(pairs):
+    """Alternating schedule whose iterate k applies O(beta_k) then D(alpha_k)."""
+    pulses = []
+    for alpha, beta in pairs:
+        pulses += [Pulse(Generator.ORACLE, beta), Pulse(Generator.DIFFUSION, alpha)]
+    return AngleSchedule(tuple(pulses))
+
+
 def test_iterate_full_vs_reduced(rng):
     for _ in range(5):
         alpha, beta = rng.uniform(-np.pi, np.pi, 2)
         full = grover_iterate(INST, alpha, beta, make_initial(INST))
-        red = grover_iterate(INST, alpha, beta, ReducedState(1.0, 0.0))
+        red, _ = run_schedule(INST, pair_schedule([(alpha, beta)]), mode="reduced")
         via_full, residual = reduce_state(INST, full)
         assert residual < 1e-12
         assert abs(via_full.c0 - red.c0) < 1e-12
@@ -167,8 +183,35 @@ def test_fixed_point_terminal_fidelity_subset():
 def test_reduced_iterate_product_matches_run():
     pairs = [(0.3, -1.1), (2.0, 0.4), (-0.7, 0.9)]
     u = reduced_iterate_product(INST.e0, pairs)
-    state = ReducedState(1.0, 0.0)
-    for alpha, beta in pairs:
-        state = grover_iterate(INST, alpha, beta, state)
+    state, _ = run_schedule(INST, pair_schedule(pairs), mode="reduced")
     assert np.abs(u @ np.array([1.0, 0.0]) - state.to_array()).max() < 1e-12
     assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-13
+
+
+angles = st.one_of(st.just(0.0), st.floats(-2 * np.pi, 2 * np.pi))
+# free pulse lists (any order, odd counts, leading diffusion, cancelling pulses)
+# and alternating oracle-first lists, which run as Grover iterates
+pulse_lists = st.one_of(
+    st.lists(st.builds(Pulse, st.sampled_from(Generator), angles), max_size=8),
+    st.lists(st.tuples(angles, angles), max_size=4).map(
+        lambda pairs: list(pair_schedule(pairs).pulses)),
+)
+
+
+@given(pulse_lists)
+@example([])
+@example([Pulse(Generator.ORACLE, 0.4), Pulse(Generator.ORACLE, -0.4)])
+@settings(max_examples=40, deadline=None)
+def test_run_reduced_matches_full_runs(pulses):
+    n = 3
+    sched = AngleSchedule(tuple(pulses))
+    ms = range(1, 1 << n)
+    final, trace = run_reduced(sched, [m / (1 << n) for m in ms])
+    for i, m in enumerate(ms):
+        inst = SearchInstance(n, tuple(range(m)))
+        full_state, tr_full = run_schedule(inst, sched, mode="full")
+        assert trace.shape == (len(tr_full), len(ms))
+        assert np.abs(trace[:, i] - tr_full).max(initial=0.0) < 1e-10
+        red_of_full, residual = reduce_state(inst, full_state)
+        assert residual < 1e-10
+        assert np.abs(final[:, i] - red_of_full.to_array()).max() < 1e-10

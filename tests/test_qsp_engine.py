@@ -240,8 +240,9 @@ def test_mse_cost_gradient_matches_finite_differences(rng):
 
 
 def test_statematch_cost_gradient_matches_finite_differences(rng):
+    target = np.stack([np.cos(FD_THETA), np.sin(FD_THETA)], axis=1).astype(complex)
     assert_gradient_matches_finite_differences(
-        lambda a: _statematch_cost_grad(a, FD_XS, FD_THETA), rng.normal(0, 0.8, 7))
+        lambda a: _statematch_cost_grad(a, FD_XS, target), rng.normal(0, 0.8, 7))
 
 
 @given(
