@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DomainError
 # run_schedule stays importable from here: perfbench's traced run wraps bench.run_schedule
 from .grover_engine import NamedSchedule, run_reduced, run_schedule  # noqa: F401
 from .pf_compiler import AngleSchedule
@@ -198,7 +198,7 @@ def fitted_ite_phases(s: float, iterations: int, seed: int, restarts: int = 8) -
     """Phase list for the flow target at duration s, disk-cached."""
     k = 2 * iterations
     payload = {
-        "target": "ite-cos", "algo": "ladder-v1", "s": repr(float(s)), "k": k,
+        "target": "ite-cos", "algo": "ladder-v2", "s": repr(float(s)), "k": k,
         "n_d": 50, "lam1": 0.01, "lam2": 0.1, "seed": seed, "restarts": restarts,
     }
     return _cached_phases(payload, lambda: fit_ite_phases(s, k, seed=seed, restarts=restarts)[0])
@@ -208,7 +208,7 @@ def fitted_sign_schedule(iterations: int, eta: float, delta_cap: float, seed: in
                          restarts: int = 8) -> AngleSchedule:
     """Sign-route fixed-point schedule, disk-cached via its phase list."""
     payload = {
-        "target": "sign", "algo": "ladder-v1", "eta": repr(float(eta)),
+        "target": "sign", "algo": "ladder-v2", "eta": repr(float(eta)),
         "cap": repr(float(delta_cap)), "iters": iterations, "seed": seed,
         "restarts": restarts,
     }
@@ -312,7 +312,12 @@ def resolve_schedule(token: str, config: ExperimentConfig):
             config.iterations, config.eta, config.delta2 / 2.0, config.seed, config.restarts
         )
     if token.endswith(".json") and Path(token).exists():
-        return AngleSchedule.from_json(Path(token).read_text())
+        try:
+            return AngleSchedule.from_json(Path(token).read_text())
+        # unreadable file (OSError), bad JSON, generator or number (ValueError),
+        # missing key (KeyError), wrong JSON type (TypeError), NaN angle (DomainError)
+        except (OSError, ValueError, KeyError, TypeError, DomainError) as exc:
+            raise ConfigInvalid(f"malformed schedule file {token!r}: {exc!r}") from None
     raise ConfigInvalid(f"unknown schedule {token!r}")
 
 
@@ -331,6 +336,8 @@ def _overlap_rows(config: ExperimentConfig, names: list[str]) -> list[tuple]:
     rows = []
     for name in sorted(names):
         _, trace = run_reduced(resolve_schedule(name, config), e0s)
+        if not len(trace):
+            raise ConfigInvalid(f"schedule {name!r} has no steps")
         rows += [(name, m, e0, float(ov)) for m, e0, ov in zip(ms, e0s, trace[-1])]
     return rows
 

@@ -619,9 +619,18 @@ def _statematch_cost_grad(a, xs, target):
     return cost, _dr_backward(pre, ((2.0 / n) * d).T, a, xs)
 
 
-def _lbfgs(fg, x0, maxiter: int = 4000):
+def _lbfgs(fg, x0, maxiter: int = 4000, goal: float = -math.inf):
+    """L-BFGS-B on fg (cost and gradient), ended at the first iterate costing < goal.
+
+    The tolerances are far below any goal, so without one the solve runs until
+    it stalls or reaches ``maxiter``.
+    """
+    def stop_at_goal(intermediate_result):
+        if intermediate_result.fun < goal:
+            raise StopIteration
+
     return minimize(
-        fg, x0, jac=True, method="L-BFGS-B",
+        fg, x0, jac=True, method="L-BFGS-B", callback=stop_at_goal,
         options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-15},
     )
 
@@ -655,9 +664,14 @@ def _multistart(rungs, k: int, seed: int, restarts: int, spread: float,
     turn, each from the previous solve's point, and every chain of a restart
     starts from the same point.  Restart 0 starts from the previous rung's
     winner (a small random point on the first rung), later restarts perturb it
-    by N(0, spread).  A rung stops at its goal cost or after ``stall_limit``
-    restarts in a row that did not improve; its winner is chosen by (cost,
-    restart index).  Intermediate rungs keep max(2, restarts // 3) restarts.
+    by N(0, spread).  Intermediate rungs keep max(2, restarts // 3) restarts.
+
+    The goal is the stop rule.  The last solve of a chain, whose cost is the
+    one compared with the goal, ends at its first iterate below the goal; the
+    solves before it run to their own end.  Once the best cost is below the
+    goal the rung ends, skipping the remaining chains and restarts.  A rung
+    also ends after ``stall_limit`` restarts in a row that did not improve.
+    Its winner is chosen by (cost, restart index).
     """
     rng = np.random.default_rng(seed)
     warm = None
@@ -670,13 +684,15 @@ def _multistart(rungs, k: int, seed: int, restarts: int, spread: float,
             else:
                 x0 = (warm if warm is not None else np.zeros(k)) + rng.normal(0.0, spread, k)
             improved = False
-            for chain in chains:
+            for *lead, last in chains:
                 x = x0
-                for fg in chain:
-                    res = _lbfgs(fg, x, maxiter)
-                    x = res.x
+                for fg in lead:
+                    x = _lbfgs(fg, x, maxiter).x
+                res = _lbfgs(last, x, maxiter, goal)
                 if math.isfinite(res.fun) and res.fun < best_cost:
                     best_a, best_cost, improved = res.x, float(res.fun), True
+                if best_cost < goal:
+                    break
             stall = 0 if improved else stall + 1
             if best_cost < goal or stall >= stall_limit:
                 break
@@ -733,6 +749,11 @@ def fit_ite_phases(
     that matter for larger s: a continuation ladder over intermediate
     durations (step 1) warm-starting each rung from the previous one, and a
     phase-pinned full-state guide stage before each polish.
+
+    Each rung stops at its goal cost: 1e-7 on the intermediate durations and
+    1e-10 at s.  A polish ends at its first iterate below the goal, and no
+    further chain or restart runs (see _multistart).  A fit that reaches the
+    goal thus returns a cost just below it, not the solver's best.
     """
     if s < 0:
         raise DomainError("s must be nonnegative")

@@ -11,7 +11,14 @@ from grover_ite_lab import bench
 from grover_ite_lab.bench import ExperimentConfig, custom_rows, fig_a_rows, resolve_schedule
 from grover_ite_lab.cli import main, parse_formula
 from grover_ite_lab.errors import ConfigInvalid
-from grover_ite_lab.pf_compiler import AngleSchedule, FiveCopies, GroupCommutator, TwoCopies
+from grover_ite_lab.pf_compiler import (
+    AngleSchedule,
+    FiveCopies,
+    Generator,
+    GroupCommutator,
+    Pulse,
+    TwoCopies,
+)
 from grover_ite_lab.qsp_engine import ChebyshevPoly, QspPhases
 
 
@@ -364,6 +371,56 @@ def test_cli_malformed_json_config_exits_2(tmp_path, text):
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "error:" in res.output
     assert "Traceback" not in res.output
+
+
+def _invoke_custom_schedule(tmp_path, schedule_text):
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(schedule_text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_qubits": [3], "schedule": str(sched_path)}))
+    return CliRunner().invoke(main, ["bench", "custom", "--json-config", str(cfg_path)])
+
+
+def _assert_exit_2(res):
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "error:" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("schedule", [
+    AngleSchedule(()),
+    AngleSchedule((Pulse(Generator.ORACLE, 0.3), Pulse(Generator.ORACLE, -0.3))),  # cancels
+])
+def test_schedule_without_steps_is_config_error(tmp_path, schedule):
+    _assert_exit_2(_invoke_custom_schedule(tmp_path, schedule.to_json()))
+    path = tmp_path / "sched.json"
+    cfg = ExperimentConfig.for_experiment("custom", n_qubits=(3,), schedule=str(path))
+    with pytest.raises(ConfigInvalid, match="no steps"):
+        custom_rows(cfg)
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([1, 2]),
+    json.dumps({"s_target": 0.0, "pulses": []}),  # no claimed_order
+    json.dumps({"s_target": 0.0, "claimed_order": 0, "pulses": [{"g": "X", "theta": 0.1}]}),
+    json.dumps({"s_target": 0.0, "claimed_order": 0, "pulses": [{"g": "O", "theta": "x"}]}),
+    json.dumps({"s_target": 0.0, "claimed_order": 0, "pulses": [{"g": "O", "theta": None}]}),
+    '{"s_target": 0.0, "claimed_order": 0, "pulses": [{"g": "O", "theta": NaN}]}',
+])
+def test_malformed_schedule_file_is_config_error(tmp_path, text):
+    _assert_exit_2(_invoke_custom_schedule(tmp_path, text))
+    cfg = ExperimentConfig.for_experiment("custom", **CHEAP)
+    with pytest.raises(ConfigInvalid, match="sched.json"):
+        resolve_schedule(str(tmp_path / "sched.json"), cfg)
+
+
+def test_unreadable_schedule_file_is_config_error(tmp_path):
+    (tmp_path / "dir.json").mkdir()
+    cfg = ExperimentConfig.for_experiment("custom", **CHEAP)
+    with pytest.raises(ConfigInvalid, match="dir.json"):
+        resolve_schedule(str(tmp_path / "dir.json"), cfg)
 
 
 def _load_script(name):
