@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the checked benchmark CSVs (one per bench.CHECKS entry) into results/.
+"""Regenerate the CSV of every bench.EXPERIMENTS entry with a check into results/.
 
 Phase fits are cached (GROVER_ITE_CACHE_DIR), so reruns are fast and
 bitwise-identical for a fixed seed.  Exits 3, as ``bench --strict`` does, when
@@ -19,13 +19,14 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     parser.add_argument(
-        "--only", choices=sorted(bench.RUNNERS), default=None,
+        "--only", choices=sorted(bench.EXPERIMENTS), default=None,
         help="run a single experiment instead of every checked one",
     )
     args = parser.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    experiments = [args.only] if args.only else list(bench.CHECKS)
+    experiments = [args.only] if args.only else [
+        name for name, experiment in bench.EXPERIMENTS.items() if experiment.check]
     missed = False
     for name in experiments:
         config = bench.ExperimentConfig.for_experiment(name, seed=args.seed)

@@ -12,8 +12,10 @@ cache stores the phase-list JSON, whose floats round-trip exactly, so warm runs
 reproduce the run that filled the cache bit for bit.  A cold refit under a
 different numpy/scipy/BLAS build or thread count may differ in the last digits.
 
-Each runner returns the CSV text and what its row function returned; the
-matching ``--strict`` check in CHECKS reads that instead of recomputing it.
+EXPERIMENTS is the one place where an experiment is defined: config defaults,
+row function, CSV layout (header, rows, trailing comments) and optional
+``--strict`` check.  ``run(config)`` returns the CSV text and what the row
+function returned, which the check reads instead of recomputing it.
 
 Experiments:
 
@@ -33,10 +35,12 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -56,16 +60,6 @@ from .qsp_engine import (
 )
 
 CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
-
-_DEFAULTS = {
-    "fig-a": dict(n_qubits=(8,), iterations=16, s_values=(0.5, 1.0, 3.0)),
-    "fig-b": dict(n_qubits=(4, 6, 8), iterations=8, s_values=(1.0, 3.0, 4.0)),
-    # the s grid endpoints here are a harness choice, not a quoted setting
-    "fig-c": dict(n_qubits=(6,), iterations=20,
-                  s_values=(0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
-    "fixed-point": dict(n_qubits=(8,), iterations=20, s_values=()),
-    "custom": dict(n_qubits=(8,), iterations=16, s_values=()),
-}
 
 
 def _number(value, kind):
@@ -116,7 +110,7 @@ class ExperimentConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        if self.experiment not in _DEFAULTS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
         for name, coerce in _COERCE.items():
             try:
@@ -129,18 +123,22 @@ class ExperimentConfig:
             raise ConfigInvalid("delta2 must be in (0, 1)")
         if self.seed < 0:
             raise ConfigInvalid("seed must be a nonnegative integer")
+        if self.restarts < 1:
+            raise ConfigInvalid("restarts must be >= 1")
         if not self.n_qubits:
             raise ConfigInvalid("n_qubits must list at least one qubit count")
         if any(n < 1 or n > 14 for n in self.n_qubits):
             raise ConfigInvalid("n_qubits entries must be in 1..14")
-        if any(s < 0 for s in self.s_values):
-            raise ConfigInvalid("s_values must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in self.s_values):
+            raise ConfigInvalid("s_values must be finite and nonnegative")
+        if not math.isfinite(self.eta):
+            raise ConfigInvalid("eta must be finite")
 
     @classmethod
     def for_experiment(cls, experiment: str, **overrides) -> "ExperimentConfig":
-        if experiment not in _DEFAULTS:
+        if experiment not in EXPERIMENTS:
             raise ConfigInvalid(f"unknown experiment {experiment!r}")
-        params = dict(_DEFAULTS[experiment])
+        params = dict(EXPERIMENTS[experiment].defaults)
         params.update({k: v for k, v in overrides.items() if v is not None})
         known = set(cls.__dataclass_fields__)
         unknown = set(params) - known
@@ -238,27 +236,22 @@ def _ite_infidelities(phases: QspPhases, s: float, n: int) -> list[tuple[int, fl
     return [(int(m), float(e), float(i)) for m, e, i in zip(ms, e0s, inf)]
 
 
+def _flow_sweep(config: ExperimentConfig, ns) -> list[tuple]:
+    """(n, s, infidelities) for each n in ns, then each swept s; one phase fetch per s."""
+    s_values = sorted(config.s_values)
+    phases = {s: fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
+              for s in s_values}
+    return [(n, s, _ite_infidelities(phases[s], s, n)) for n in ns for s in s_values]
+
+
 def fig_a_rows(config: ExperimentConfig) -> list[tuple]:
-    n = config.n_qubits[0]
-    rows = []
-    for s in sorted(config.s_values):
-        phases = fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
-        for m, e0, inf in _ite_infidelities(phases, s, n):
-            rows.append((s, m, e0, inf))
-    return rows
+    return [(s, m, e0, inf) for _, s, infs in _flow_sweep(config, config.n_qubits[:1])
+            for m, e0, inf in infs]
 
 
 def fig_b_rows(config: ExperimentConfig) -> list[tuple]:
-    phase_by_s = {
-        s: fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
-        for s in sorted(config.s_values)
-    }
-    rows = []
-    for n in sorted(config.n_qubits):
-        for s in sorted(config.s_values):
-            infs = [inf for _, _, inf in _ite_infidelities(phase_by_s[s], s, n)]
-            rows.append((n, s, float(np.mean(infs))))
-    return rows
+    return [(n, s, float(np.mean([inf for _, _, inf in infs])))
+            for n, s, infs in _flow_sweep(config, sorted(config.n_qubits))]
 
 
 def _pav_nondecreasing(y: np.ndarray) -> np.ndarray:
@@ -285,12 +278,8 @@ def _pav_nondecreasing(y: np.ndarray) -> np.ndarray:
 
 def fig_c_rows(config: ExperimentConfig):
     """Rows (s, mean infidelity) plus the isotonic-trend flag on s >= 1."""
-    n = config.n_qubits[0]
-    rows = []
-    for s in sorted(config.s_values):
-        phases = fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
-        infs = [inf for _, _, inf in _ite_infidelities(phases, s, n)]
-        rows.append((s, float(np.mean(infs))))
+    sweep = _flow_sweep(config, config.n_qubits[:1])
+    rows = [(s, float(np.mean([inf for _, _, inf in infs]))) for _, s, infs in sweep]
     tail = np.array([inf for s, inf in rows if s >= 1.0])
     if len(tail) >= 2 and tail.max() > tail.min():
         fit = _pav_nondecreasing(tail)
@@ -387,48 +376,12 @@ def render_csv(config: ExperimentConfig, header: list[str], rows: list[tuple],
     return "\n".join(lines) + "\n"
 
 
-def run_fig_a(config: ExperimentConfig):
-    rows = fig_a_rows(config)
-    return render_csv(config, ["s", "M", "e0", "infidelity"], rows), rows
-
-
-def run_fig_b(config: ExperimentConfig):
-    rows = fig_b_rows(config)
-    return render_csv(config, ["n", "s", "mean_infidelity"], rows), rows
-
-
-def run_fig_c(config: ExperimentConfig):
-    result = fig_c_rows(config)
-    rows, trend_ok = result
-    text = render_csv(
-        config, ["s", "mean_infidelity"], rows,
-        [f"# monotone_trend_s_ge_1={trend_ok}"],
-    )
-    return text, result
-
-
-def run_fixed_point(config: ExperimentConfig):
-    result = fixed_point_rows(config)
-    rows, valid_from = result
-    comment = f"# chebyshev_valid_e0_min={_fmt(valid_from) if valid_from is not None else 'none'}"
-    return render_csv(config, ["schedule", "M", "e0", "final_overlap"], rows, [comment]), result
-
-
-def run_custom(config: ExperimentConfig):
-    result = custom_rows(config)
-    kind, rows = result
-    if kind == "overlap":
-        return render_csv(config, ["schedule", "M", "e0", "final_overlap"], rows), result
-    return render_csv(config, ["s", "M", "e0", "infidelity"], rows), result
-
-
-RUNNERS = {
-    "fig-a": run_fig_a,
-    "fig-b": run_fig_b,
-    "fig-c": run_fig_c,
-    "fixed-point": run_fixed_point,
-    "custom": run_custom,
-}
+def run(config: ExperimentConfig):
+    """CSV text of one experiment and what its row function returned."""
+    experiment = EXPERIMENTS[config.experiment]
+    # by name at call time, so a wrapper on the module attribute (perfbench) sees the call
+    result = globals()[experiment.rows](config)
+    return render_csv(config, *experiment.layout(result)), result
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +438,50 @@ def check_fixed_point(config: ExperimentConfig, result) -> tuple[bool, str]:
     )
 
 
-CHECKS = {
-    "fig-a": check_fig_a,
-    "fig-b": check_fig_b,
-    "fig-c": check_fig_c,
-    "fixed-point": check_fixed_point,
+# ---------------------------------------------------------------------------
+# The experiments
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment; ``layout`` maps its rows' result to (header, rows, trailing comments)."""
+
+    defaults: dict
+    rows: str  # name of the row function in this module
+    layout: Callable[..., tuple]
+    check: Callable | None = None
+
+
+_INFIDELITY = ["s", "M", "e0", "infidelity"]
+_OVERLAP = ["schedule", "M", "e0", "final_overlap"]
+
+EXPERIMENTS = {
+    "fig-a": Experiment(
+        dict(n_qubits=(8,), iterations=16, s_values=(0.5, 1.0, 3.0)),
+        "fig_a_rows", lambda rows: (_INFIDELITY, rows, []), check_fig_a),
+    "fig-b": Experiment(
+        dict(n_qubits=(4, 6, 8), iterations=8, s_values=(1.0, 3.0, 4.0)),
+        "fig_b_rows", lambda rows: (["n", "s", "mean_infidelity"], rows, []), check_fig_b),
+    "fig-c": Experiment(
+        # the s grid endpoints here are a harness choice, not a quoted setting
+        dict(n_qubits=(6,), iterations=20, s_values=(0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        "fig_c_rows",
+        lambda result: (["s", "mean_infidelity"], result[0],
+                        [f"# monotone_trend_s_ge_1={result[1]}"]),
+        check_fig_c),
+    "fixed-point": Experiment(
+        dict(n_qubits=(8,), iterations=20, s_values=()),
+        "fixed_point_rows",
+        lambda result: (_OVERLAP, result[0], [
+            f"# chebyshev_valid_e0_min={'none' if result[1] is None else _fmt(result[1])}"]),
+        check_fixed_point),
+    "custom": Experiment(
+        dict(n_qubits=(8,), iterations=16, s_values=()),
+        "custom_rows",
+        lambda result: (_OVERLAP if result[0] == "overlap" else _INFIDELITY, result[1], [])),
 }
+
+# The CLI and scripts/run_experiments.py call through these views, and
+# perfbench's traced run wraps their entries one by one.
+RUNNERS = {name: run for name in EXPERIMENTS}
+CHECKS = {name: e.check for name, e in EXPERIMENTS.items() if e.check is not None}

@@ -147,7 +147,7 @@ def _make_bench_command(experiment: str):
     return _cmd
 
 
-for _exp in bench.RUNNERS:
+for _exp in bench.EXPERIMENTS:
     _make_bench_command(_exp)
 
 

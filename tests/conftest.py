@@ -1,7 +1,13 @@
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from grover_ite_lab import bench
 from grover_ite_lab.search_core import SearchInstance
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def family(max_n=8):
@@ -28,3 +34,16 @@ def small_family():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="module")
+def committed_cache(tmp_path_factory):
+    """The phase cache pointed at a temporary copy of the committed .fit_cache/.
+
+    A cache miss writes into the copy, never into the repository.
+    """
+    cache = tmp_path_factory.mktemp("fit_cache") / "cache"
+    shutil.copytree(REPO_ROOT / ".fit_cache", cache)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(bench.CACHE_ENV_VAR, str(cache))
+        yield cache

@@ -1,15 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The figure-reproduction
-criteria fit sequence phases on first run (minutes); results are cached under
-GROVER_ITE_CACHE_DIR (default: .fit_cache/ in the repository root) so reruns
-are fast.
+criteria read their phase fits from a temporary copy of the committed
+.fit_cache/ (the `committed_cache` fixture), so they take seconds and write
+nothing into the repository; a fit missing from it runs anew (minutes) on
+every run.
 """
 
 import math
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,14 +33,8 @@ from grover_ite_lab.pf_compiler import (
 from grover_ite_lab.qsp_engine import QspPhases, grover_to_qsp, jacobi_anger, qsp_matrix, sign_poly
 from grover_ite_lab.search_core import SearchInstance, embed_state, make_initial, make_solution
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
-
-@pytest.fixture(autouse=True, scope="module")
-def persistent_cache():
-    if bench.CACHE_ENV_VAR not in os.environ:
-        os.environ[bench.CACHE_ENV_VAR] = str(REPO_ROOT / ".fit_cache")
-    yield
+pytestmark = pytest.mark.usefixtures("committed_cache")
 
 
 def _family():
@@ -273,8 +266,8 @@ def test_criterion_11_property_suite():
     config = ExperimentConfig.for_experiment(
         "custom", n_qubits=(4,), iterations=2, s_values=(0.5,), seed=9
     )
-    first, _ = bench.run_custom(config)
-    second, _ = bench.run_custom(config)
+    first, _ = bench.run(config)
+    second, _ = bench.run(config)
     assert first == second
 
     elapsed = time.time() - start

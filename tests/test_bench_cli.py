@@ -46,6 +46,31 @@ def test_config_validation():
             ExperimentConfig.for_experiment("custom", **bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("s_values", (float("nan"),)),
+    ("s_values", (0.5, float("inf"))),
+    ("eta", float("nan")),
+    ("eta", float("-inf")),
+    ("restarts", 0),
+    ("restarts", -2),
+])
+def test_config_rejects_non_finite_values_and_no_restarts(field, value):
+    with pytest.raises(ConfigInvalid, match=field):
+        ExperimentConfig.for_experiment("fig-a", **{field: value})
+
+
+@pytest.mark.parametrize("args", [
+    ["--iters", "1", "--s", "nan"],
+    ["--iters", "1", "--s", "inf"],
+    ["--restarts", "0"],
+    ["--restarts", "-2"],
+])
+def test_cli_non_finite_duration_or_no_restarts_exits_2(args):
+    res = CliRunner().invoke(main, ["bench", "fig-a", *args])
+    _assert_exit_2(res)
+    assert ("restarts" if "--restarts" in args else "s_values") in res.output
+
+
 def test_unknown_schedule_token_carries_token():
     cfg = ExperimentConfig.for_experiment("custom", schedule="who-dis", **CHEAP)
     with pytest.raises(ConfigInvalid, match="who-dis"):
@@ -55,7 +80,7 @@ def test_unknown_schedule_token_carries_token():
 def test_empty_sweep_header_only():
     cfg = ExperimentConfig.for_experiment("custom", n_qubits=(4,), iterations=2,
                                           s_values=(), seed=0)
-    text, _ = bench.run_custom(cfg)
+    text, _ = bench.run(cfg)
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert lines[1] == "s,M,e0,infidelity"
@@ -63,15 +88,15 @@ def test_empty_sweep_header_only():
 
 def test_csv_header_comment_format():
     cfg = ExperimentConfig.for_experiment("custom", **CHEAP)
-    text, _ = bench.run_custom(cfg)
+    text, _ = bench.run(cfg)
     first = text.split("\n", 1)[0]
     assert re.fullmatch(r"# grover-ite-lab v0\.1\.0 config=[0-9a-f]{12} seed=3", first)
 
 
 def test_seed_determinism_bitwise_and_cache_warm():
     cfg = ExperimentConfig.for_experiment("custom", **CHEAP)
-    cold, _ = bench.run_custom(cfg)
-    warm, _ = bench.run_custom(cfg)  # second run hits the phase cache
+    cold, _ = bench.run(cfg)
+    warm, _ = bench.run(cfg)  # second run hits the phase cache
     assert cold == warm
     assert (Path(bench.cache_dir())).exists()
     assert list(Path(bench.cache_dir()).glob("*.json"))
@@ -130,7 +155,7 @@ def test_fig_c_rows_and_flag_cheap():
     rows, trend = bench.fig_c_rows(cfg)
     assert isinstance(trend, bool)
     assert all(0.0 <= inf <= 1.0 + 1e-12 for _, inf in rows)
-    text, _ = bench.run_fig_c(cfg)
+    text, _ = bench.run(cfg)
     assert "# monotone_trend_s_ge_1=" in text
 
 
@@ -146,7 +171,7 @@ def test_fixed_point_rows_cheap():
     level = 1.0 - cfg.delta2
     cheb = [(e0, ov) for name, _, e0, ov in rows if name == "fixed-point-chebyshev"]
     assert all(ov >= level - 1e-9 for e0, ov in cheb if e0 >= valid_from)
-    text, _ = bench.run_fixed_point(cfg)
+    text, _ = bench.run(cfg)
     assert "# chebyshev_valid_e0_min=" in text
 
 

@@ -15,8 +15,6 @@ from grover_ite_lab.qsp_engine import (
     _dr_forward,
     _lbfgs,
     _multistart,
-    _mse_cost_grad,
-    _statematch_cost_grad,
     QspPhases,
     check_achievability,
     contract_cost_grad,
@@ -240,13 +238,43 @@ def test_contract_cost_gradient_matches_finite_differences(rng):
 def test_mse_cost_gradient_matches_finite_differences(rng):
     tv = np.cos(FD_THETA)
     assert_gradient_matches_finite_differences(
-        lambda a: _mse_cost_grad(a, FD_XS, tv, 0.01), rng.normal(0, 0.8, 7))
+        lambda a: contract_cost_grad(a, FD_XS, tv, 0.01), rng.normal(0, 0.8, 7))
 
 
 def test_statematch_cost_gradient_matches_finite_differences(rng):
     target = np.stack([np.cos(FD_THETA), np.sin(FD_THETA)], axis=1).astype(complex)
     assert_gradient_matches_finite_differences(
-        lambda a: _statematch_cost_grad(a, FD_XS, target), rng.normal(0, 0.8, 7))
+        lambda a: contract_cost_grad(a, FD_XS, state=target), rng.normal(0, 0.8, 7))
+
+
+def test_cost_is_the_sum_of_its_terms(rng):
+    a = rng.normal(0, 0.8, 7)
+    tv = np.cos(FD_THETA)
+    target = np.stack([np.cos(FD_THETA), np.sin(FD_THETA)], axis=1).astype(complex)
+    terms = [contract_cost_grad(a, FD_XS, tv, 0.01), contract_cost_grad(a, FD_XS, lam2=0.1),
+             contract_cost_grad(a, FD_XS, state=target)]
+    cost, grad = contract_cost_grad(a, FD_XS, tv, 0.01, 0.1, state=target)
+    assert cost == pytest.approx(sum(c for c, _ in terms), rel=1e-12)
+    assert grad == pytest.approx(sum(g for _, g in terms), rel=1e-9, abs=1e-12)
+    assert contract_cost_grad(a, FD_XS)[0] == 0.0
+    assert_gradient_matches_finite_differences(
+        lambda x: contract_cost_grad(x, FD_XS, tv, 0.01, 0.1, state=target), a)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_fit_ite_phases_rejects_non_finite_duration(s):
+    with pytest.raises(DomainError, match="finite"):
+        fit_ite_phases(s, 4)
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_fits_reject_restarts_below_one(restarts):
+    fits = (lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 1, restarts=restarts),
+            lambda: fit_ite_phases(0.5, 4, restarts=restarts),
+            lambda: fixed_point_via_sign(6, 0.35, 0.05, restarts=restarts))
+    for fit in fits:
+        with pytest.raises(DomainError, match="restarts"):
+            fit()
 
 
 @given(
