@@ -11,7 +11,7 @@ fit driver) can be checked by running this on both sides and comparing bytes:
 Floats are written with ``repr``, which round-trips exactly, so equal files
 mean bit-for-bit equal fits.  Compare runs made in the same environment: a
 different numpy/scipy/BLAS build or thread count may move the last digits.
-The probe set takes about 11 s on a 2-CPU x86-64 host.
+The probe set takes about 9 s on a 2-CPU x86-64 host.
 """
 
 import argparse

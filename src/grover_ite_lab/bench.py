@@ -60,6 +60,10 @@ from .qsp_engine import (
 )
 
 CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
+# Signal points of every flow fit; a fit of K = 2 * iterations angles needs K <= FLOW_GRID.
+FLOW_GRID = 50
+# Marks the fit algorithm in both cache kinds; bumped whenever a fit's output may move.
+FIT_ALGO = "pf-start-v3"
 
 
 def _number(value, kind):
@@ -131,6 +135,10 @@ class ExperimentConfig:
             raise ConfigInvalid("n_qubits entries must be in 1..14")
         if not all(0.0 <= s < math.inf for s in self.s_values):
             raise ConfigInvalid("s_values must be finite and nonnegative")
+        if self.s_values and 2 * self.iterations > FLOW_GRID:
+            raise ConfigInvalid(
+                f"iterations must be <= {FLOW_GRID // 2} when s_values is non-empty: flow fits "
+                f"use a {FLOW_GRID}-point grid, got {self.iterations}")
         if not math.isfinite(self.eta):
             raise ConfigInvalid("eta must be finite")
 
@@ -196,17 +204,18 @@ def fitted_ite_phases(s: float, iterations: int, seed: int, restarts: int = 8) -
     """Phase list for the flow target at duration s, disk-cached."""
     k = 2 * iterations
     payload = {
-        "target": "ite-cos", "algo": "ladder-v2", "s": repr(float(s)), "k": k,
-        "n_d": 50, "lam1": 0.01, "lam2": 0.1, "seed": seed, "restarts": restarts,
+        "target": "ite-cos", "algo": FIT_ALGO, "s": repr(float(s)), "k": k,
+        "n_d": FLOW_GRID, "lam1": 0.01, "lam2": 0.1, "seed": seed, "restarts": restarts,
     }
-    return _cached_phases(payload, lambda: fit_ite_phases(s, k, seed=seed, restarts=restarts)[0])
+    return _cached_phases(payload, lambda: fit_ite_phases(
+        s, k, n_d=FLOW_GRID, seed=seed, restarts=restarts)[0])
 
 
 def fitted_sign_schedule(iterations: int, eta: float, delta_cap: float, seed: int,
                          restarts: int = 8) -> AngleSchedule:
     """Sign-route fixed-point schedule, disk-cached via its phase list."""
     payload = {
-        "target": "sign", "algo": "ladder-v2", "eta": repr(float(eta)),
+        "target": "sign", "algo": FIT_ALGO, "eta": repr(float(eta)),
         "cap": repr(float(delta_cap)), "iters": iterations, "seed": seed,
         "restarts": restarts,
     }

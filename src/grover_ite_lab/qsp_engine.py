@@ -50,7 +50,7 @@ from .errors import (
     NumericalDomain,
     OptimizerDiverged,
 )
-from .pf_compiler import AngleSchedule, Generator, Pulse
+from .pf_compiler import AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula
 
 # ---------------------------------------------------------------------------
 # Phase lists and sequence evaluation
@@ -648,44 +648,56 @@ def phases_to_dr_angles(phases: QspPhases) -> np.ndarray:
 TargetLike = Union[ChebyshevPoly, Callable[[np.ndarray], np.ndarray]]
 
 
+# A restart improves on the best cost only if it lowers it by more than this
+# share; restarts that land in the same minimum again count toward the stall limit.
+STALL_MARGIN = 1e-6
+
+
 def _multistart(rungs, k: int, seed: int, restarts: int, spread: float,
-                stall_limit: float = math.inf, maxiter: int = 4000):
+                stall_limit: float = math.inf, maxiter: int = 4000, start=None):
     """Seeded multi-start ladder; returns the final rung's (angles, cost).
 
     Each rung is (chains, goal); a chain is a tuple of cost functions solved in
     turn, each from the previous solve's point, and every chain of a restart
     starts from the same point.  Restart 0 starts from the previous rung's
-    winner (a small random point on the first rung), later restarts perturb it
-    by N(0, spread).  Intermediate rungs keep max(2, restarts // 3) restarts.
+    winner, or from the small random point 0.01 N(0, 1) on the first rung.
+    Later restarts perturb the previous winner by N(0, spread).  On the first
+    rung they perturb ``start`` instead (zeros without one), and a given
+    ``start`` is itself restart 1.  Intermediate rungs keep max(2, restarts // 3)
+    restarts.
 
     The goal is the stop rule.  The last solve of a chain, whose cost is the
     one compared with the goal, ends at its first iterate below the goal; the
     solves before it run to their own end.  Once the best cost is below the
     goal the rung ends, skipping the remaining chains and restarts.  A rung
-    also ends after ``stall_limit`` restarts in a row that did not improve.
-    Its winner is chosen by (cost, restart index).
+    also ends after ``stall_limit`` restarts in a row that did not lower the
+    best cost by more than the relative STALL_MARGIN.  Its winner is chosen by
+    (cost, restart index).
     """
     rng = np.random.default_rng(seed)
     warm = None
     for i, (chains, goal) in enumerate(rungs):
         budget = restarts if i == len(rungs) - 1 else max(2, restarts // 3)
+        centre = warm if warm is not None else (np.zeros(k) if start is None else start)
         best_a, best_cost, stall = None, math.inf, 0
         for r in range(budget):
             if r == 0:
                 x0 = warm if warm is not None else 0.01 * rng.normal(size=k)
+            elif r == 1 and warm is None and start is not None:
+                x0 = start
             else:
-                x0 = (warm if warm is not None else np.zeros(k)) + rng.normal(0.0, spread, k)
-            improved = False
+                x0 = centre + rng.normal(0.0, spread, k)
+            before = best_cost
             for *lead, last in chains:
                 x = x0
                 for fg in lead:
                     x = _lbfgs(fg, x, maxiter).x
                 res = _lbfgs(last, x, maxiter, goal)
                 if math.isfinite(res.fun) and res.fun < best_cost:
-                    best_a, best_cost, improved = res.x, float(res.fun), True
+                    best_a, best_cost = res.x, float(res.fun)
                 if best_cost < goal:
                     break
-            stall = 0 if improved else stall + 1
+            stall = 0 if best_cost < before * (1.0 - STALL_MARGIN) else stall + 1
             if best_cost < goal or stall >= stall_limit:
                 break
         if best_a is None:
@@ -732,6 +744,23 @@ def fit_phases(
     return dr_angles_to_phases(best_a), best_cost
 
 
+def _formula_start(s: float, k: int) -> np.ndarray:
+    """Fit angles of the group-commutator product formula for the flow at duration s.
+
+    N = k // 2 Grover iterates approximate exp(s [H_f, psi0]) as N // 2
+    group-commutator fragments; the iterates map exactly onto D(a) X angles
+    (grover_to_qsp, then phases_to_dr_angles).  The angles are zero-padded to
+    k: for odd N the last iterate is a zero-angle pair, D(0) X D(0) X = I, so
+    at even k the start is the formula exactly.  Below N = 2 it is all zeros.
+    """
+    a = np.zeros(k)
+    if k >= 4:
+        formula = compile_formula(GroupCommutator(), s, fragments=k // 4)
+        angles = phases_to_dr_angles(grover_to_qsp(formula))
+        a[:len(angles)] = angles
+    return a
+
+
 def fit_ite_phases(
     s: float,
     k: int,
@@ -743,32 +772,33 @@ def fit_ite_phases(
 ) -> tuple[QspPhases, float]:
     """Fit phases for the flow target cos(s x sqrt(1 - x^2)).
 
-    Same contract cost and selection rule as fit_phases, with two additions
-    that matter for larger s: a continuation ladder over intermediate
-    durations (step 1) warm-starting each rung from the previous one, and a
-    phase-pinned full-state guide stage before each polish.
+    Same contract cost and selection rule as fit_phases, at s alone with goal
+    cost 1e-10, plus a phase-pinned full-state guide stage before each polish.
+    There are three kinds of start (see _multistart).  Restart 0 is the small
+    random point 0.01 N(0, 1) drawn from ``seed``, restart 1 the product
+    formula of _formula_start, and later restarts perturb the formula by
+    N(0, 0.4), also drawn from ``seed``.  So ``restarts=1`` never tries the
+    formula, and ``seed`` steers restart 0 and the perturbations.
 
-    Each rung stops at its goal cost: 1e-7 on the intermediate durations and
-    1e-10 at s.  A polish ends at its first iterate below the goal, and no
-    further chain or restart runs (see _multistart).  A fit that reaches the
-    goal thus returns a cost just below it, not the solver's best.
+    The goal is the stop rule: a polish ends at its first iterate below it,
+    and no further chain or restart runs.  A fit that reaches the goal thus
+    returns a cost just below it, not the solver's best.  Otherwise the fit
+    ends after three restarts in a row that did not lower the best cost by
+    more than the relative STALL_MARGIN, or after ``restarts`` restarts.
     """
     if not 0.0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s!r}")
     _check_k(k, n_d)
     _check_restarts(restarts)
     xs = np.linspace(0.0, 1.0, n_d)
-
-    def rung(duration: float, goal: float):
-        theta = duration * xs * np.sqrt(1.0 - xs ** 2)
-        tv = np.cos(theta)
-        target = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
-        full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
-        guide = lambda a: contract_cost_grad(a, xs, state=target)
-        return ((guide, full), (full,)), goal
-
-    rungs = [rung(float(v), 1e-7) for v in np.arange(1.0, s, 1.0)] + [rung(float(s), 1e-10)]
-    best_a, best_cost = _multistart(rungs, k, seed, restarts, spread=0.4, stall_limit=3)
+    theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
+    tv = np.cos(theta)
+    target = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
+    full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
+    guide = lambda a: contract_cost_grad(a, xs, state=target)
+    rungs = [(((guide, full), (full,)), 1e-10)]
+    best_a, best_cost = _multistart(rungs, k, seed, restarts, spread=0.4, stall_limit=3,
+                                    start=_formula_start(s, k))
     return dr_angles_to_phases(best_a), best_cost
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_ite_lab.errors import DegreeTooSmall, DomainError, NonAlternatingSchedule
-from grover_ite_lab.grover_engine import reduced_iterate_product
-from grover_ite_lab import qsp_engine
+from grover_ite_lab.grover_engine import reduced_iterate_product, run_reduced
+from grover_ite_lab import bench, qsp_engine
+from grover_ite_lab.pf_compiler import GroupCommutator, compile_formula
 from grover_ite_lab.qsp_engine import (
     ChebyshevPoly,
     _dr_forward,
+    _formula_start,
     _lbfgs,
     _multistart,
     QspPhases,
@@ -339,12 +342,13 @@ def test_fixed_point_via_sign_structure():
 # Outputs of one cheap fit per entry point, recorded before the three restart
 # loops were folded into one driver.  The sign pairs were recorded again when
 # each rung's goal became its stop rule: the eta ladder's rungs reach their
-# goals, so their solves now end there.  The other two fits never reach their
-# goal and did not move.
+# goals, so their solves now end there.  The flow fit's phases were recorded
+# again when it lost its duration ladder: at s=2 it is one rung, and it finds
+# the mirror image (all angles negated) of the old minimum, at the same cost.
 PINNED_FIT_PHASES = (0.7118930519046911, 5.446035170680741e-08, 0.7118929974443394)
 PINNED_FIT_COST = 0.1047009804948007
-PINNED_ITE_PHASES = (-0.44033124991177713, 0.2208415411295578, 0.3011669797730772,
-                     -0.3916792155459739, -0.5706605552684383)
+PINNED_ITE_PHASES = (0.4403312498972564, -0.22084153971450596, -0.3011669803022653,
+                     0.3916792140837528, 0.5706605558302749)
 PINNED_ITE_COST = 0.02506918398898544
 PINNED_SIGN_PAIRS = (
     (-1.1446979851723034, -4.094013269841452), (0.8873355500464106, 3.308599270438368),
@@ -365,7 +369,7 @@ def test_fits_match_pinned_outputs():
     assert phases.phases == pytest.approx(PINNED_FIT_PHASES, abs=1e-9, rel=0)
     assert cost == pytest.approx(PINNED_FIT_COST, abs=1e-9, rel=0)
 
-    phases, cost = fit_ite_phases(2.0, 4, seed=3)  # two rungs: s = 1, then s = 2
+    phases, cost = fit_ite_phases(2.0, 4, seed=3)  # one rung at s = 2
     assert phases.phases == pytest.approx(PINNED_ITE_PHASES, abs=1e-9, rel=0)
     assert cost == pytest.approx(PINNED_ITE_COST, abs=1e-9, rel=0)
 
@@ -384,6 +388,30 @@ def _counted_quadratic(calls, name, floor=0.0):
         return float(np.sum(w * a * a)) + floor, 2.0 * w * a
 
     return fg
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_formula_start_is_the_compiled_product_formula(k):
+    """The flow fit's formula start realizes the compiled group-commutator schedule.
+
+    At K=6 (three iterates) the formula covers two and the third is a
+    zero-angle pair, D(0) X D(0) X = I, so the start is still exact.
+    """
+    s, n = 1.5, 5
+    a = _formula_start(s, k)
+    assert len(a) == k
+    infs = bench._ite_infidelities(dr_angles_to_phases(a), s, n)
+    e0s = np.array([e0 for _, e0, _ in infs])
+    state, _ = run_reduced(compile_formula(GroupCommutator(), s, fragments=k // 4), e0s)
+    theta = s * np.sqrt(e0s) * np.sqrt(1.0 - e0s)
+    want = 1.0 - np.abs(np.cos(theta) * state[0] + np.sin(theta) * state[1]) ** 2
+    assert [inf for _, _, inf in infs] == pytest.approx(want, abs=1e-12, rel=0)
+    assert max(want) > 1e-6  # the formula alone does not already fit the flow
+
+
+def test_formula_start_below_two_iterates_is_zero():
+    for k in (1, 2, 3):
+        assert np.array_equal(_formula_start(2.0, k), np.zeros(k))
 
 
 def test_lbfgs_stops_at_first_iterate_below_goal():
@@ -407,6 +435,23 @@ def test_multistart_skips_chains_once_goal_met(floor):
         assert cost < 1e-3 and calls["second"] == 0
     else:  # the floor is above the goal: every chain of every restart runs
         assert cost >= 1.0 and calls["second"] > 0
+
+
+def test_multistart_stalls_on_restarts_that_refind_the_best_minimum(monkeypatch):
+    """Each restart lands in the same minimum, 1e-15 lower in relative terms than
+    the last: only the first counts as an improvement, so the stall limit ends
+    the rung after 1 + stall_limit restarts."""
+    costs = []
+
+    def same_minimum(fg, x0, maxiter=4000, goal=-math.inf):
+        costs.append(1.0 - 1e-15 * len(costs))
+        return SimpleNamespace(x=np.asarray(x0), fun=costs[-1])
+
+    monkeypatch.setattr(qsp_engine, "_lbfgs", same_minimum)
+    chains = ((_counted_quadratic(Counter(), "q"),),)
+    _, cost = _multistart([(chains, 1e-3)], 10, seed=0, restarts=8, spread=0.5, stall_limit=3)
+    assert len(costs) == 1 + 3
+    assert cost == min(costs)
 
 
 @pytest.mark.parametrize("s", [3.0, pytest.param(4.0, marks=pytest.mark.xfail(
