@@ -63,7 +63,7 @@ CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
 # Signal points of every flow fit; a fit of K = 2 * iterations angles needs K <= FLOW_GRID.
 FLOW_GRID = 50
 # Marks the fit algorithm in both cache kinds; bumped whenever a fit's output may move.
-FIT_ALGO = "pf-start-v3"
+FIT_ALGO = "infidelity-v1"
 
 
 def _number(value, kind):
@@ -180,7 +180,8 @@ def _cached_phases(payload: dict, compute) -> QspPhases:
     """Cached phase list, or a fresh fit written atomically into the cache.
 
     An entry that does not parse (say, one cut short by a crash) is refitted
-    and overwritten.
+    and overwritten.  Entries are readable by all (mode 0644), so a cache
+    directory can be shared between users.
     """
     path = cache_dir() / f"{_cache_key(payload)}.json"
     if path.exists():
@@ -193,6 +194,7 @@ def _cached_phases(payload: dict, compute) -> QspPhases:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(phases.to_json())
+        os.chmod(tmp, 0o644)  # mkstemp creates 0600
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -205,7 +207,7 @@ def fitted_ite_phases(s: float, iterations: int, seed: int, restarts: int = 8) -
     k = 2 * iterations
     payload = {
         "target": "ite-cos", "algo": FIT_ALGO, "s": repr(float(s)), "k": k,
-        "n_d": FLOW_GRID, "lam1": 0.01, "lam2": 0.1, "seed": seed, "restarts": restarts,
+        "n_d": FLOW_GRID, "seed": seed, "restarts": restarts,
     }
     return _cached_phases(payload, lambda: fit_ite_phases(
         s, k, n_d=FLOW_GRID, seed=seed, restarts=restarts)[0])
@@ -472,8 +474,8 @@ EXPERIMENTS = {
         dict(n_qubits=(4, 6, 8), iterations=8, s_values=(1.0, 3.0, 4.0)),
         "fig_b_rows", lambda rows: (["n", "s", "mean_infidelity"], rows, []), check_fig_b),
     "fig-c": Experiment(
-        # the s grid endpoints here are a harness choice, not a quoted setting
-        dict(n_qubits=(6,), iterations=20, s_values=(0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        # a harness choice, not a quoted setting: K=40 runs out of budget past s=8
+        dict(n_qubits=(6,), iterations=20, s_values=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)),
         "fig_c_rows",
         lambda result: (["s", "mean_infidelity"], result[0],
                         [f"# monotone_trend_s_ge_1={result[1]}"]),

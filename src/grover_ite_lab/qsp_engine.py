@@ -22,10 +22,10 @@ shifts phi_0 by -pi/4, interior phases by -pi/2 and phi_K by +(2K-1)pi/4, after
 which the (0,0) rows agree exactly and the full matrices differ only by
 diag(1, (-1)^K).
 
-Phase fitting follows the penalized least-squares route: a sequence of
-D(a_j) X(x) factors (a_j = 2 phi_j) is optimized against a target polynomial
-on x in [0, 1] with penalties on the imaginary part of the (0,0) entry and on
-the relative phase between the two column entries.  Gradients are computed
+Phase fitting optimizes a sequence of D(a_j) X(x) factors (a_j = 2 phi_j) on
+x in [0, 1]: against a target polynomial with penalties on the imaginary part
+of the (0,0) entry and on the relative phase of the two column entries, or,
+for the flow, against the flow state's infidelity.  Gradients are computed
 analytically by a forward/backward sweep through the 2x2 product, and restarts
 are seeded for determinism.
 """
@@ -573,9 +573,10 @@ def contract_cost_grad(a, xs, target_vals=None, lam1: float = 0.0, lam2: float =
     With p, q the two components of the sequence state, the terms are
     mean (target - Re p)^2 + lam1 mean (Im p)^2 for ``target_vals``,
     lam2 mean arg(p / q)^2 for a nonzero ``lam2`` (arg(0) counts as 0), and
-    mean || (p, q) - state ||^2 for an (n_d, 2) ``state``.  The fits use three
-    term sets: (target_vals, lam1) to explore and for the sign target,
-    (target_vals, lam1, lam2) to polish, and state alone as the flow fit's guide.
+    the mean infidelity mean (1 - |<t|(p, q)>|^2) against a real (n_d, 2)
+    target state t = ``state``, blind to the global phase, as the figures are.
+    The fits use three term sets: (target_vals, lam1) to explore and for the
+    sign target, (target_vals, lam1, lam2) to polish, and state alone for the flow.
     """
     a = np.asarray(a, dtype=float)
     n = len(xs)
@@ -600,13 +601,13 @@ def contract_cost_grad(a, xs, target_vals=None, lam1: float = 0.0, lam2: float =
         seed[0] += coef * dphi_dp
         seed[1] += coef * dphi_dq
     if state is not None:
-        d = v - state  # (n_d, 2): the sum below runs in that order
-        cost = cost + np.add.reduce(np.abs(d) ** 2, axis=None) / n
-        seed += ((2.0 / n) * d).T
+        overlap = state[:, 0] * p + state[:, 1] * q  # <t|v>, t real
+        cost = cost + _mean(1.0 - np.abs(overlap) ** 2)
+        seed -= (2.0 / n) * overlap * state.T
     return float(cost), _dr_backward(pre, seed, a, xs)
 
 
-# Former exploration and guide costs: nothing calls them, but perfbench's traced
+# Former exploration and state-match costs: nothing calls them, but perfbench's traced
 # run wraps these names, so they stay bound until perfbench changes.
 _mse_cost_grad = _statematch_cost_grad = contract_cost_grad
 
@@ -764,27 +765,27 @@ def _formula_start(s: float, k: int) -> np.ndarray:
 def fit_ite_phases(
     s: float,
     k: int,
-    lambda1: float = 0.01,
-    lambda2: float = 0.1,
     n_d: int = 50,
     seed: int = 0,
     restarts: int = 8,
 ) -> tuple[QspPhases, float]:
-    """Fit phases for the flow target cos(s x sqrt(1 - x^2)).
+    """Fit phases whose final state follows the flow state (cos theta, sin theta).
 
-    Same contract cost and selection rule as fit_phases, at s alone with goal
-    cost 1e-10, plus a phase-pinned full-state guide stage before each polish.
-    There are three kinds of start (see _multistart).  Restart 0 is the small
-    random point 0.01 N(0, 1) drawn from ``seed``, restart 1 the product
-    formula of _formula_start, and later restarts perturb the formula by
-    N(0, 0.4), also drawn from ``seed``.  So ``restarts=1`` never tries the
-    formula, and ``seed`` steers restart 0 and the perturbations.
+    theta = s x sqrt(1 - x^2) on n_d points of x in [0, 1].  The cost is the
+    figures' own metric, the mean infidelity 1 - |<(cos theta, sin theta)|(p, q)>|^2
+    (the ``state`` term of contract_cost_grad), and each restart is one L-BFGS
+    solve of it with goal cost 1e-10.  There are three kinds of start (see
+    _multistart).  Restart 0 is the small random point 0.01 N(0, 1) drawn from
+    ``seed``, restart 1 the product formula of _formula_start, and later
+    restarts perturb the formula by N(0, 0.4), also drawn from ``seed``.  So
+    ``restarts=1`` never tries the formula, and ``seed`` steers restart 0 and
+    the perturbations.
 
-    The goal is the stop rule: a polish ends at its first iterate below it,
-    and no further chain or restart runs.  A fit that reaches the goal thus
-    returns a cost just below it, not the solver's best.  Otherwise the fit
-    ends after three restarts in a row that did not lower the best cost by
-    more than the relative STALL_MARGIN, or after ``restarts`` restarts.
+    The goal is the stop rule: a solve ends at its first iterate below it, and
+    no further restart runs.  A fit that reaches the goal thus returns a cost
+    just below it, not the solver's best.  Otherwise the fit ends after three
+    restarts in a row that did not lower the best cost by more than the
+    relative STALL_MARGIN, or after ``restarts`` restarts.
     """
     if not 0.0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s!r}")
@@ -792,13 +793,10 @@ def fit_ite_phases(
     _check_restarts(restarts)
     xs = np.linspace(0.0, 1.0, n_d)
     theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
-    tv = np.cos(theta)
-    target = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
-    full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
-    guide = lambda a: contract_cost_grad(a, xs, state=target)
-    rungs = [(((guide, full), (full,)), 1e-10)]
-    best_a, best_cost = _multistart(rungs, k, seed, restarts, spread=0.4, stall_limit=3,
-                                    start=_formula_start(s, k))
+    target = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    flow = lambda a: contract_cost_grad(a, xs, state=target)
+    best_a, best_cost = _multistart([(((flow,),), 1e-10)], k, seed, restarts, spread=0.4,
+                                    stall_limit=3, start=_formula_start(s, k))
     return dr_angles_to_phases(best_a), best_cost
 
 

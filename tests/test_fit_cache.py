@@ -1,10 +1,12 @@
 """The committed .fit_cache/ against the program: it serves the default figures,
-and a cold refit reproduces its entries."""
+holds nothing else, and a cold refit reproduces its entries."""
+
+import stat
 
 import pytest
 
 from grover_ite_lab import bench
-from grover_ite_lab.qsp_engine import fit_ite_phases
+from grover_ite_lab.qsp_engine import QspPhases, fit_ite_phases
 
 
 @pytest.mark.parametrize("name", list(bench.CHECKS))
@@ -22,11 +24,34 @@ def test_committed_cache_serves_default_figures(committed_cache, monkeypatch, na
     assert sorted(committed_cache.iterdir()) == before
 
 
+def test_committed_cache_holds_only_what_the_default_figures_read(committed_cache, monkeypatch):
+    """A stray entry, or one orphaned by a forgotten algo-tag bump, fails here."""
+    committed = sorted(path.name for path in committed_cache.iterdir())
+    read, cache_key = set(), bench._cache_key
+
+    def recorded_key(payload):
+        key = cache_key(payload)
+        read.add(f"{key}.json")
+        return key
+
+    monkeypatch.setattr(bench, "_cache_key", recorded_key)
+    for name in bench.CHECKS:
+        bench.RUNNERS[name](bench.ExperimentConfig.for_experiment(name))
+    assert committed == sorted(read)
+
+
+def test_fresh_cache_entry_is_readable_by_all(tmp_path, monkeypatch):
+    monkeypatch.setenv(bench.CACHE_ENV_VAR, str(tmp_path))
+    bench._cached_phases({"probe": 1}, lambda: QspPhases((0.0, 0.5)))
+    (entry,) = tmp_path.iterdir()
+    assert entry.stat().st_mode & (stat.S_IRGRP | stat.S_IROTH) == stat.S_IRGRP | stat.S_IROTH
+
+
 def test_cold_refit_matches_committed_entry(committed_cache):
     """fig-a's first fit (s=0.5, K=32, seed 0), refitted, against its cache entry.
 
     On the 2-CPU x86-64 host that filled the cache (numpy 2.4.6, scipy 1.17.1)
-    the refit is bit for bit the same and takes about 2.4 s; other
+    the refit is bit for bit the same and takes about 0.4 s; other
     numpy/scipy/BLAS builds may move the last digits, hence the tolerance.
     """
     config = bench.ExperimentConfig.for_experiment("fig-a")
