@@ -63,7 +63,7 @@ CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
 # Signal points of every flow fit; a fit of K = 2 * iterations angles needs K <= FLOW_GRID.
 FLOW_GRID = 50
 # Marks the fit algorithm in both cache kinds; bumped whenever a fit's output may move.
-FIT_ALGO = "infidelity-v1"
+FIT_ALGO = "one-rung-v1"
 
 
 def _number(value, kind):

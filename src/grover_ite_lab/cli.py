@@ -59,6 +59,17 @@ def _parse_marked(text: str, n: int) -> tuple[int, ...]:
         raise ConfigInvalid(f"cannot parse marked set {text!r}")
 
 
+def _target_params(target: str, *names: str) -> list[float]:
+    """The float fields ``names`` of a "kind:name=<float>,..." target, in that order."""
+    kind, _, body = target.partition(":")
+    params = dict(tok.strip().partition("=")[::2] for tok in body.split(","))
+    try:
+        return [float(params[name]) for name in names]
+    except (KeyError, ValueError):
+        form = ",".join(f"{name}=<float>" for name in names)
+        raise ConfigInvalid(f"{kind} target needs {form}, got {target!r}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -245,16 +256,15 @@ def fit(target, k, seed, restarts, out):
     """Fit sequence phases to a target; prints the phase-list JSON."""
     try:
         if target.startswith("ite-cos:"):
-            params = dict(tok.split("=") for tok in target.split(":", 1)[1].split(","))
             from .qsp_engine import fit_ite_phases
 
-            phases, cost = fit_ite_phases(float(params["s"]), k, seed=seed, restarts=restarts)
+            phases, cost = fit_ite_phases(*_target_params(target, "s"), k, seed=seed,
+                                          restarts=restarts)
             click.echo(f"# cost={cost!r}", err=True)
             _emit(phases.to_json() + "\n", out)
             return
         if target.startswith("sign:"):
-            params = dict(tok.split("=") for tok in target.split(":", 1)[1].split(","))
-            goal = sign_poly(float(params["eta"]), float(params["cap"]))
+            goal = sign_poly(*_target_params(target, "eta", "cap"))
         elif Path(target).exists():
             goal = ChebyshevPoly.from_json(Path(target).read_text())
         else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyMarkedSet, NonAlternatingSchedule, NumericalDomain
-from .pf_compiler import AngleSchedule, Generator, Pulse
+from .pf_compiler import Generator, fixed_point_angles
 from .qsp_engine import _dr_forward, reflection_matrix
 from .search_core import (
     ReducedState,
@@ -89,38 +89,6 @@ class NamedSchedule:
                 raise DomainError("fixed-point-chebyshev needs delta2")
             return fixed_point_angles(self.iterations, math.sqrt(self.delta2)).grover_pairs()
         raise DomainError(f"unknown named schedule {self.kind!r}")
-
-
-def fixed_point_angles(iterations: int, delta: float) -> AngleSchedule:
-    """Fixed-point schedule with terminal fidelity >= 1 - delta^2.
-
-    Uses the quasi-Chebyshev construction with L = 2*iterations + 1 reflections:
-    gamma = cosh(arccosh(1/delta) / L) (the fractional-order Chebyshev value
-    T_{1/L}(1/delta)), and
-
-        alpha_k = beta_{N-k+1} = -2 arccot(tan(2 pi k / L) sqrt(1 - 1/gamma^2)).
-
-    The arccot is evaluated as atan2(1, .), range (0, pi), so the angle stays
-    defined at the tan poles; the alpha/beta reversal symmetry is exact by
-    construction.
-    """
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta!r}")
-    big_l = 2 * iterations + 1
-    gamma = math.cosh(math.acosh(1.0 / delta) / big_l)
-    omega = math.sqrt(max(0.0, 1.0 - 1.0 / gamma ** 2))
-    alphas = [
-        -2.0 * math.atan2(1.0, math.tan(2.0 * math.pi * k / big_l) * omega)
-        for k in range(1, iterations + 1)
-    ]
-    betas = alphas[::-1]
-    pulses = []
-    for alpha, beta in zip(alphas, betas):
-        pulses.append(Pulse(Generator.ORACLE, beta))
-        pulses.append(Pulse(Generator.DIFFUSION, alpha))
-    return AngleSchedule(tuple(pulses))
 
 
 def success_probability(inst: SearchInstance, state) -> float:

@@ -238,6 +238,38 @@ def compile_formula(kind: FormulaKind, s: float, fragments: int = 1) -> AngleSch
     return AngleSchedule(fragment * fragments, formula_order(kind), float(s))
 
 
+def fixed_point_angles(iterations: int, delta: float) -> AngleSchedule:
+    """Fixed-point schedule with terminal fidelity >= 1 - delta^2.
+
+    Uses the quasi-Chebyshev construction with L = 2*iterations + 1 reflections:
+    gamma = cosh(arccosh(1/delta) / L) (the fractional-order Chebyshev value
+    T_{1/L}(1/delta)), and
+
+        alpha_k = beta_{N-k+1} = -2 arccot(tan(2 pi k / L) sqrt(1 - 1/gamma^2)).
+
+    The arccot is evaluated as atan2(1, .), range (0, pi), so the angle stays
+    defined at the tan poles; the alpha/beta reversal symmetry is exact by
+    construction.
+    """
+    if iterations < 1:
+        raise DomainError("iterations must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must be in (0, 1), got {delta!r}")
+    big_l = 2 * iterations + 1
+    gamma = math.cosh(math.acosh(1.0 / delta) / big_l)
+    omega = math.sqrt(max(0.0, 1.0 - 1.0 / gamma ** 2))
+    alphas = [
+        -2.0 * math.atan2(1.0, math.tan(2.0 * math.pi * k / big_l) * omega)
+        for k in range(1, iterations + 1)
+    ]
+    betas = alphas[::-1]
+    pulses = []
+    for alpha, beta in zip(alphas, betas):
+        pulses.append(Pulse(Generator.ORACLE, beta))
+        pulses.append(Pulse(Generator.DIFFUSION, alpha))
+    return AngleSchedule(tuple(pulses))
+
+
 def schedule_unitary(inst: SearchInstance, schedule: AngleSchedule) -> np.ndarray:
     """Dense ordered product of the schedule's pulse exponentials."""
     inst.require_dense()

@@ -50,7 +50,8 @@ from .errors import (
     NumericalDomain,
     OptimizerDiverged,
 )
-from .pf_compiler import AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula
+from .pf_compiler import (AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula,
+                          fixed_point_angles)
 
 # ---------------------------------------------------------------------------
 # Phase lists and sequence evaluation
@@ -654,56 +655,46 @@ TargetLike = Union[ChebyshevPoly, Callable[[np.ndarray], np.ndarray]]
 STALL_MARGIN = 1e-6
 
 
-def _multistart(rungs, k: int, seed: int, restarts: int, spread: float,
-                stall_limit: float = math.inf, maxiter: int = 4000, start=None):
-    """Seeded multi-start ladder; returns the final rung's (angles, cost).
+def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: float,
+                stall_limit: float = math.inf, start=None):
+    """Seeded multi-start local descent; returns the winning (angles, cost).
 
-    Each rung is (chains, goal); a chain is a tuple of cost functions solved in
-    turn, each from the previous solve's point, and every chain of a restart
-    starts from the same point.  Restart 0 starts from the previous rung's
-    winner, or from the small random point 0.01 N(0, 1) on the first rung.
-    Later restarts perturb the previous winner by N(0, spread).  On the first
-    rung they perturb ``start`` instead (zeros without one), and a given
-    ``start`` is itself restart 1.  Intermediate rungs keep max(2, restarts // 3)
-    restarts.
+    A chain is a tuple of cost functions solved in turn, each from the previous
+    solve's point, and every chain of a restart starts from the same point.
+    Restart 0 starts from the small random point 0.01 N(0, 1), a given
+    ``start`` is restart 1, and later restarts perturb ``start`` (zeros
+    without one) by N(0, spread).
 
     The goal is the stop rule.  The last solve of a chain, whose cost is the
     one compared with the goal, ends at its first iterate below the goal; the
     solves before it run to their own end.  Once the best cost is below the
-    goal the rung ends, skipping the remaining chains and restarts.  A rung
-    also ends after ``stall_limit`` restarts in a row that did not lower the
-    best cost by more than the relative STALL_MARGIN.  Its winner is chosen by
-    (cost, restart index).
+    goal the fit ends, skipping the remaining chains and restarts.  It also
+    ends after ``stall_limit`` restarts in a row that did not lower the best
+    cost by more than the relative STALL_MARGIN.  Ties go to the earlier restart.
     """
     rng = np.random.default_rng(seed)
-    warm = None
-    for i, (chains, goal) in enumerate(rungs):
-        budget = restarts if i == len(rungs) - 1 else max(2, restarts // 3)
-        centre = warm if warm is not None else (np.zeros(k) if start is None else start)
-        best_a, best_cost, stall = None, math.inf, 0
-        for r in range(budget):
-            if r == 0:
-                x0 = warm if warm is not None else 0.01 * rng.normal(size=k)
-            elif r == 1 and warm is None and start is not None:
-                x0 = start
-            else:
-                x0 = centre + rng.normal(0.0, spread, k)
-            before = best_cost
-            for *lead, last in chains:
-                x = x0
-                for fg in lead:
-                    x = _lbfgs(fg, x, maxiter).x
-                res = _lbfgs(last, x, maxiter, goal)
-                if math.isfinite(res.fun) and res.fun < best_cost:
-                    best_a, best_cost = res.x, float(res.fun)
-                if best_cost < goal:
-                    break
-            stall = 0 if best_cost < before * (1.0 - STALL_MARGIN) else stall + 1
-            if best_cost < goal or stall >= stall_limit:
+    centre = np.zeros(k) if start is None else start
+    best_a, best_cost, stall = None, math.inf, 0
+    for r in range(restarts):
+        if r == 0:
+            x0 = 0.01 * rng.normal(size=k)
+        else:
+            x0 = start if r == 1 and start is not None else centre + rng.normal(0.0, spread, k)
+        before = best_cost
+        for *lead, last in chains:
+            x = x0
+            for fg in lead:
+                x = _lbfgs(fg, x).x
+            res = _lbfgs(last, x, goal=goal)
+            if math.isfinite(res.fun) and res.fun < best_cost:
+                best_a, best_cost = res.x, float(res.fun)
+            if best_cost < goal:
                 break
-        if best_a is None:
-            raise OptimizerDiverged("no restart produced a finite cost")
-        warm = best_a
+        stall = 0 if best_cost < before * (1.0 - STALL_MARGIN) else stall + 1
+        if best_cost < goal or stall >= stall_limit:
+            break
+    if best_a is None:
+        raise OptimizerDiverged("no restart produced a finite cost")
     return best_a, best_cost
 
 
@@ -740,8 +731,8 @@ def fit_phases(
     tv = np.asarray(target(xs), dtype=float)
     full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
     explore = lambda a: contract_cost_grad(a, xs, tv, lambda1)
-    rungs = [(((explore, full), (full,)), 1e-10)]
-    best_a, best_cost = _multistart(rungs, k, seed, restarts, spread=0.5)
+    best_a, best_cost = _multistart(((explore, full), (full,)), 1e-10, k, seed, restarts,
+                                    spread=0.5)
     return dr_angles_to_phases(best_a), best_cost
 
 
@@ -795,7 +786,7 @@ def fit_ite_phases(
     theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
     target = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     flow = lambda a: contract_cost_grad(a, xs, state=target)
-    best_a, best_cost = _multistart([(((flow,),), 1e-10)], k, seed, restarts, spread=0.4,
+    best_a, best_cost = _multistart(((flow,),), 1e-10, k, seed, restarts, spread=0.4,
                                     stall_limit=3, start=_formula_start(s, k))
     return dr_angles_to_phases(best_a), best_cost
 
@@ -815,7 +806,9 @@ def fixed_point_via_sign(
     fidelity 1 - delta^2 for delta^2 = 2 delta_cap on the covered overlap
     range.  The final success probability equals |<0|W|0>|^2 exactly, so the
     fit cost drops the relative-phase term and keeps the imaginary-part
-    penalty; an eta ladder provides warm starts.
+    penalty.  The fit is one goal-2e-6 multi-start (see _multistart) whose
+    restart 1 is the first 2N-1 D-X angles of the quasi-Chebyshev fixed-point
+    schedule (fixed_point_angles at delta^2 = 2 delta_cap).
     """
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
@@ -830,14 +823,11 @@ def fixed_point_via_sign(
         )
 
     xs = np.linspace(0.0, 1.0, max(50, k + 1))
-
-    def rung(coeffs: np.ndarray, goal: float):
-        tv = _cheb.chebval(xs, coeffs)
-        return ((lambda a: contract_cost_grad(a, xs, tv, 0.01),),), goal
-
-    # rungs whose degree-K series misses the cap are skipped; the final one exists
-    steps = [_sign_series(e, delta_cap, 1.0, k) for e in (0.5, 0.35, 0.25, 0.18, 0.13) if e > eta]
-    rungs = [rung(c, 1e-5) for c in steps if c is not None] + [rung(final_coeffs, 2e-6)]
-    best_a, _ = _multistart(rungs, k, seed, restarts, spread=0.4, stall_limit=3, maxiter=6000)
+    tv = _cheb.chebval(xs, final_coeffs)
+    sign = lambda a: contract_cost_grad(a, xs, tv, 0.01)
+    quasi_chebyshev = fixed_point_angles(iterations, math.sqrt(2.0 * delta_cap))
+    start = phases_to_dr_angles(grover_to_qsp(quasi_chebyshev))[:k]
+    best_a, _ = _multistart(((sign,),), 2e-6, k, seed, restarts, spread=0.4, stall_limit=3,
+                            start=start)
     a_full = np.concatenate([best_a, [0.0]])
     return qsp_to_grover(dr_angles_to_phases(a_full, grover_pairs=True))

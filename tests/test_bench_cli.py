@@ -335,6 +335,17 @@ def test_cli_qsp_fit_map_check(tmp_path):
     assert res6.exit_code == 2
 
 
+@pytest.mark.parametrize("target, form", [
+    ("ite-cos:x=1", "ite-cos target needs s=<float>"),
+    ("ite-cos:s", "ite-cos target needs s=<float>"),
+    ("sign:eta=0.3", "sign target needs eta=<float>,cap=<float>"),
+])
+def test_cli_qsp_fit_names_the_target_form(target, form):
+    res = CliRunner().invoke(main, ["qsp", "fit", "--target", target, "--k", "4"])
+    _assert_exit_2(res)
+    assert form in res.output
+
+
 def test_cli_strict_exit_code_on_threshold_miss():
     # iters=2 gives a 4-reflection budget, far too small for s=3: the fig-a
     # thresholds must fail and --strict turns that into exit code 3

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_ite_lab.errors import DegreeTooSmall, DomainError, NonAlternatingSchedule
-from grover_ite_lab.grover_engine import reduced_iterate_product, run_reduced
+from grover_ite_lab.grover_engine import fixed_point_angles, reduced_iterate_product, run_reduced
 from grover_ite_lab import bench, qsp_engine
 from grover_ite_lab.pf_compiler import GroupCommutator, compile_formula
 from grover_ite_lab.qsp_engine import (
@@ -340,20 +340,20 @@ def test_fixed_point_via_sign_structure():
 
 # Outputs of one cheap fit per entry point, recorded before the three restart
 # loops were folded into one driver.  The sign pairs were recorded again when
-# each rung's goal became its stop rule: the eta ladder's rungs reach their
-# goals, so their solves now end there.  The flow fit's phases were recorded
-# again when it lost its duration ladder, and again when its cost became the
-# mean flow infidelity alone: its cost is now that infidelity, not the
-# contract cost, and it finds a different minimum.
+# each rung's goal became its stop rule, and again when the eta ladder gave way
+# to one rung whose restart 1 is the quasi-Chebyshev fixed-point prefix.  The
+# flow fit's phases were recorded again when it lost its duration ladder, and
+# again when its cost became the mean flow infidelity alone: its cost is now
+# that infidelity, not the contract cost, and it finds a different minimum.
 PINNED_FIT_PHASES = (0.7118930519046911, 5.446035170680741e-08, 0.7118929974443394)
 PINNED_FIT_COST = 0.1047009804948007
 PINNED_ITE_PHASES = (1.138766487682357, -2.4569255933102485, -1.5120469990406664,
                      2.8077307405779237, 2.3000083394553483)
 PINNED_ITE_COST = 0.00036128747936933216
 PINNED_SIGN_PAIRS = (
-    (-1.1446979851723034, -4.094013269841452), (0.8873355500464106, 3.308599270438368),
-    (1.3833875745173936, 2.063702871350665), (-1.5148697301937595, -2.28437072301825),
-    (1.4964554557379286, 1.3449118099479584), (0.0, -1.2906468458541993),
+    (-3.061772444685244, -0.7295834245141509), (-3.77722280670898, -2.255469332160955),
+    (-0.5535404377623592, -4.512891302651509), (-2.696791814482282, -1.530057534213766),
+    (-4.737614576344028, -2.7242384878599597), (0.0, -4.992538361693157),
 )
 
 
@@ -373,7 +373,7 @@ def test_fits_match_pinned_outputs():
     assert phases.phases == pytest.approx(PINNED_ITE_PHASES, abs=1e-9, rel=0)
     assert cost == pytest.approx(PINNED_ITE_COST, abs=1e-9, rel=0)
 
-    pairs = fixed_point_via_sign(6, 0.35, 0.05, seed=3).grover_pairs()  # eta ladder
+    pairs = fixed_point_via_sign(6, 0.35, 0.05, seed=3).grover_pairs()  # quasi-Chebyshev start
     assert len(pairs) == len(PINNED_SIGN_PAIRS)
     for got, want in zip(pairs, PINNED_SIGN_PAIRS):
         assert got == pytest.approx(want, abs=1e-9, rel=0)
@@ -429,7 +429,7 @@ def test_multistart_skips_chains_once_goal_met(floor):
         (_counted_quadratic(calls, "explore", floor), _counted_quadratic(calls, "first", floor)),
         (_counted_quadratic(calls, "second", floor),),
     )
-    _, cost = _multistart([(chains, 1e-3)], 10, seed=0, restarts=3, spread=0.5)
+    _, cost = _multistart(chains, 1e-3, 10, seed=0, restarts=3, spread=0.5)
     assert calls["explore"] and calls["first"]
     if floor == 0.0:  # the first chain meets the goal
         assert cost < 1e-3 and calls["second"] == 0
@@ -449,9 +449,33 @@ def test_multistart_stalls_on_restarts_that_refind_the_best_minimum(monkeypatch)
 
     monkeypatch.setattr(qsp_engine, "_lbfgs", same_minimum)
     chains = ((_counted_quadratic(Counter(), "q"),),)
-    _, cost = _multistart([(chains, 1e-3)], 10, seed=0, restarts=8, spread=0.5, stall_limit=3)
+    _, cost = _multistart(chains, 1e-3, 10, seed=0, restarts=8, spread=0.5, stall_limit=3)
     assert len(costs) == 1 + 3
     assert cost == min(costs)
+
+
+@pytest.mark.parametrize("fit, seed, start", [
+    (lambda: fit_ite_phases(2.0, 8, restarts=3), 0, lambda: _formula_start(2.0, 8)),
+    (lambda: fixed_point_via_sign(6, 0.35, 0.05, seed=3, restarts=3), 3,
+     lambda: phases_to_dr_angles(grover_to_qsp(fixed_point_angles(6, math.sqrt(0.1))))[:11]),
+], ids=["flow", "sign"])
+def test_restarts_start_at_the_closed_form_schedule(fit, seed, start, monkeypatch):
+    """Restart 1 starts at the fit's closed-form schedule (the product formula, or the
+    quasi-Chebyshev prefix at delta^2 = 2 cap) and restart 2 perturbs it by N(0, 0.4)."""
+    starts = []
+
+    def record(fg, x0, maxiter=4000, goal=-math.inf):
+        starts.append(np.array(x0))
+        return SimpleNamespace(x=np.asarray(x0), fun=1.0)
+
+    monkeypatch.setattr(qsp_engine, "_lbfgs", record)
+    fit()
+    want = start()
+    rng = np.random.default_rng(seed)
+    rng.normal(size=len(want))  # restart 0
+    assert len(starts) == 3
+    assert np.array_equal(starts[1], want)
+    assert np.array_equal(starts[2], want + rng.normal(0.0, 0.4, len(want)))
 
 
 @pytest.mark.parametrize("s", [3.0, 4.0, 5.0, 6.0])
