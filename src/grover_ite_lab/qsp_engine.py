@@ -25,9 +25,11 @@ diag(1, (-1)^K).
 Phase fitting optimizes a sequence of D(a_j) X(x) factors (a_j = 2 phi_j) on
 x in [0, 1]: against a target polynomial with penalties on the imaginary part
 of the (0,0) entry and on the relative phase of the two column entries, or,
-for the flow, against the flow state's infidelity.  Gradients are computed
-analytically by a forward/backward sweep through the 2x2 product, and restarts
-are seeded for determinism.
+for the flow, against the flow state's infidelity on Chebyshev nodes.  Every
+fit cost is a mean of squared residuals, so each solve is trust-region least
+squares (scipy's least_squares, method "trf") on the residuals and their
+Jacobian.  The Jacobian comes analytically from one forward and one backward
+sweep through the 2x2 product, and restarts are seeded for determinism.
 """
 
 from __future__ import annotations
@@ -35,19 +37,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 from scipy.special import erf, erfinv, jv
 
 from .errors import (
     DegreeTooSmall,
     DomainError,
     NonAlternatingSchedule,
-    NumericalDomain,
     OptimizerDiverged,
 )
 from .pf_compiler import (AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula,
@@ -403,32 +404,35 @@ def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
 def target_ite_component(s: float, eps: float) -> ChebyshevPoly:
     """Polynomial approximation of cos(s x sqrt(1 - x^2)) on [-1, 1].
 
-    Built by expanding the cosine series in the power basis (even powers only)
-    and substituting x^2 (1 - x^2) for the squared argument, which doubles the
-    degree; verified against the target on the standard grid.
+    The target is an entire even function of x (a power series in x^2 - x^4),
+    so its Chebyshev interpolant converges fast.  The interpolant's degree is
+    doubled until it is within eps of the target on the standard grid, its odd
+    coefficients (roundoff) are cleared, and it is trimmed to the smallest even
+    degree that still meets eps, the way _sign_series treats erf.
     """
-    if s < 0:
-        raise DomainError("s must be nonnegative")
-    target = np.cos(s * _GRID * np.sqrt(1.0 - _GRID ** 2))
-    inner_eps = eps / 2.0
-    for _ in range(4):
-        base = jacobi_anger("cos", s, inner_eps)
-        power = _cheb.cheb2poly(np.asarray(base.coeffs))
-        even = power[0::2]  # coefficients of t^{2l}
-        # compose sum_l even_l u^l with u = x^2 - x^4
-        u = _poly.Polynomial([0.0, 0.0, 1.0, 0.0, -1.0])
-        composed = _poly.Polynomial([0.0])
-        u_pow = _poly.Polynomial([1.0])
-        for c in even:
-            composed = composed + c * u_pow
-            u_pow = u_pow * u
-        coeffs = _cheb.poly2cheb(composed.coef)
-        coeffs[1::2] = 0.0  # even by construction; kill roundoff dust
-        cand = ChebyshevPoly(tuple(coeffs), "even")
-        if float(np.abs(cand(_GRID) - target).max()) <= eps:
-            return cand
-        inner_eps /= 4.0
-    raise NumericalDomain("substituted series failed grid verification")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"s must be finite and nonnegative, got {s!r}")
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps must be in (0, 1), got {eps!r}")
+    target = lambda x: np.cos(s * x * np.sqrt(1.0 - x ** 2))
+    ref = target(_GRID)
+
+    def grid_ok(c: np.ndarray) -> bool:
+        return float(np.abs(_cheb.chebval(_GRID, c) - ref).max()) <= eps
+
+    degree = 8
+    while degree <= _MAX_SERIES_DEGREE:
+        full = _cheb.chebinterpolate(target, degree)
+        full[1::2] = 0.0
+        if grid_ok(full):
+            break
+        degree *= 2
+    else:
+        raise DegreeTooSmall("interpolant did not meet eps below the degree cap")
+    for d in range(0, degree + 1, 2):
+        if grid_ok(full[: d + 1]):
+            return ChebyshevPoly(tuple(full[: d + 1]), "even")
+    raise DegreeTooSmall("unreachable: full interpolant passed but no prefix did")
 
 
 def _sign_series(eta: float, cap: float, halfwidth: float, max_degree: int):
@@ -534,27 +538,32 @@ def _dr_forward(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _dr_backward(pre: np.ndarray, seed: np.ndarray, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Reverse sweep: gradient of a real cost with cochain `seed` w.r.t. angles.
+    """Reverse sweep: derivatives of the overlaps <seed|v> with respect to the angles.
 
-    ``pre`` is the (K+1, 2, n_d) output of _dr_forward and ``seed`` the (2, n_d)
-    derivative of the cost with respect to the final state's conjugate.
+    ``pre`` is the (K+1, 2, n_d) output of _dr_forward and ``seed`` a (2, c n_d)
+    stack of c cochains, each over the n_d signal points ``xs``.  Returns the
+    complex (K, c n_d) array d<seed|v>/da_j = i conj(m_j) pre[j+1, 0], where
+    m_j is the cochain carried back through the factors after angle j.
     """
-    step, mul = _reflector(xs), np.multiply
+    c = seed.shape[1] // len(xs)
+    step, mul = _reflector(np.tile(xs, c)), np.multiply
     m = np.array(seed, dtype=complex, order="C")
     m0, m1 = m
-    # conj of the first cochain component that meets angle j, for the gradient
-    mc = np.empty((len(a), len(xs)), dtype=complex)
+    # conj of the first cochain component that meets angle j
+    mc = np.empty((len(a), m.shape[1]), dtype=complex)
     for mcj, ph in zip(mc[::-1], np.conj(np.exp(1j * a[::-1]))):
         np.conjugate(m0, mcj)
         mul(ph, m0, m0)
         step(m, m0, m1)
-    return -np.add.reduce(np.imag(mc * pre[1:, 0]), axis=1)
+    mc *= np.tile(pre[1:, 0], c)
+    mc *= 1j
+    return mc
 
 
 def _final_state(a: np.ndarray, xs: np.ndarray):
     """Prefix states and the final state as an (n_d, 2) array.
 
-    The cost terms read p and q as strided columns of the (n_d, 2) copy: on
+    The residuals read p and q as strided columns of the (n_d, 2) copy: on
     contiguous rows numpy's SIMD complex product (p * conj(q)) rounds
     differently, which would move the fitted phases in their last bits.
     """
@@ -562,50 +571,97 @@ def _final_state(a: np.ndarray, xs: np.ndarray):
     return pre, pre[-1].T.copy()
 
 
-def _mean(v: np.ndarray):
-    """np.mean of a 1-D array, bit for bit, without its Python-level wrapper."""
-    return np.add.reduce(v) / len(v)
+def fit_residuals(xs, target_vals=None, lam1: float = 0.0, lam2: float = 0.0, state=None):
+    """Residuals r(a) of a fit and their Jacobian J(a), as the two functions least_squares takes.
+
+    With p, q the two components of the sequence state at the n_d points ``xs``,
+    the residuals are, each present only with its input: Re p - target and
+    sqrt(lam1) Im p for ``target_vals``; sqrt(lam2) arg(p conj q) for a nonzero
+    ``lam2`` (arg(0) counts as 0); and the real and imaginary parts of
+    <t_perp|(p, q)> against a real (n_d, 2) unit target state t = ``state``,
+    with t_perp = (-t_1, t_0).  All are scaled by 1/sqrt(n_d), so the fit cost
+    r @ r is the mean of the squared terms.  For the state term that is the
+    mean infidelity 1 - |<t|(p, q)>|^2, blind to the global phase as the
+    figures are, since the state is a unit vector.  The fits use three term
+    sets: (target_vals, lam1) to explore and for the sign target,
+    (target_vals, lam1, lam2) to polish, and state alone for the flow.
+
+    J(a) reuses the forward sweep of the last r(a) call at the same angles and
+    adds one backward sweep, seeded with (1, 0) for p, (0, 1) for q and t_perp.
+    The arg row is 0 where |p|^2 or |q|^2 underflows, though its residual is not.
+    """
+    n = len(xs)
+    scale = 1.0 / math.sqrt(n)
+    ones, zeros = np.ones(n), np.zeros(n)
+    seeds = []
+    if target_vals is not None or lam2:
+        seeds.append((ones, zeros))
+    if lam2:
+        seeds.append((zeros, ones))
+    if state is not None:
+        perp = np.stack([-state[:, 1], state[:, 0]])
+        seeds.append(perp)
+    seed = np.concatenate(seeds, axis=1) if seeds else np.zeros((2, 0))
+    swept = {}
+
+    def sweep(a):
+        key = a.tobytes()
+        if key not in swept:
+            swept.clear()
+            swept[key] = _final_state(a, xs)
+        return swept[key]
+
+    def residuals(a):
+        a = np.asarray(a, dtype=float)
+        _, v = sweep(a)
+        p, q = v[:, 0], v[:, 1]
+        terms = []
+        if target_vals is not None:
+            terms += [p.real - target_vals, math.sqrt(lam1) * p.imag]
+        if lam2:
+            terms.append(math.sqrt(lam2) * np.angle(p * np.conj(q)))
+        if state is not None:
+            overlap = perp[0] * p + perp[1] * q  # <t_perp|v>, t real
+            terms += [overlap.real, overlap.imag]
+        return scale * np.concatenate(terms) if terms else np.zeros(0)
+
+    def jacobian(a):
+        a = np.asarray(a, dtype=float)
+        if not seeds:
+            return np.zeros((0, len(a)))
+        pre, v = sweep(a)
+        blocks = iter(np.split(_dr_backward(pre, seed, a, xs), len(seeds), axis=1))
+        rows = []
+        if target_vals is not None or lam2:
+            dp = next(blocks)
+        if target_vals is not None:
+            rows += [dp.real, math.sqrt(lam1) * dp.imag]
+        if lam2:
+            dq = next(blocks)
+            p, q = v[:, 0], v[:, 1]
+            absp2, absq2 = np.abs(p) ** 2, np.abs(q) ** 2
+            ok = (absp2 > 1e-300) & (absq2 > 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                darg = np.imag(np.conj(p) * dp) / absp2 - np.imag(np.conj(q) * dq) / absq2
+            rows.append(math.sqrt(lam2) * np.where(ok, darg, 0.0))
+        if state is not None:
+            dperp = next(blocks)
+            rows += [dperp.real, dperp.imag]
+        return scale * np.concatenate(rows, axis=1).T
+
+    return residuals, jacobian
 
 
 def contract_cost_grad(a, xs, target_vals=None, lam1: float = 0.0, lam2: float = 0.0,
                        state=None):
-    """Penalized fit cost and its analytic gradient; a term is present only with its input.
+    """Fit cost r @ r and its gradient 2 J^T r, for the terms of fit_residuals.
 
-    With p, q the two components of the sequence state, the terms are
-    mean (target - Re p)^2 + lam1 mean (Im p)^2 for ``target_vals``,
-    lam2 mean arg(p / q)^2 for a nonzero ``lam2`` (arg(0) counts as 0), and
-    the mean infidelity mean (1 - |<t|(p, q)>|^2) against a real (n_d, 2)
-    target state t = ``state``, blind to the global phase, as the figures are.
-    The fits use three term sets: (target_vals, lam1) to explore and for the
-    sign target, (target_vals, lam1, lam2) to polish, and state alone for the flow.
+    No fit calls it: the solves take residuals.  It states the cost a fit
+    returns as one number, and perfbench's traced run wraps the name.
     """
-    a = np.asarray(a, dtype=float)
-    n = len(xs)
-    pre, v = _final_state(a, xs)
-    p, q = v[:, 0], v[:, 1]
-    cost = 0.0
-    seed = np.zeros((2, n), dtype=complex)
-    if target_vals is not None:
-        res = p.real - target_vals
-        cost = _mean(res ** 2) + lam1 * _mean(p.imag ** 2)
-        seed[0] = (2.0 / n) * res + 1j * (2.0 * lam1 / n) * p.imag
-    if lam2:
-        phi = np.angle(p * np.conj(q))
-        cost = cost + lam2 * _mean(phi ** 2)
-        absp2 = np.abs(p) ** 2
-        absq2 = np.abs(q) ** 2
-        ok = (absp2 > 1e-300) & (absq2 > 1e-300)
-        coef = np.where(ok, (2.0 * lam2 / n) * phi, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi_dp = np.where(ok, (-p.imag + 1j * p.real) / np.where(ok, absp2, 1.0), 0.0)
-            dphi_dq = np.where(ok, (q.imag - 1j * q.real) / np.where(ok, absq2, 1.0), 0.0)
-        seed[0] += coef * dphi_dp
-        seed[1] += coef * dphi_dq
-    if state is not None:
-        overlap = state[:, 0] * p + state[:, 1] * q  # <t|v>, t real
-        cost = cost + _mean(1.0 - np.abs(overlap) ** 2)
-        seed -= (2.0 / n) * overlap * state.T
-    return float(cost), _dr_backward(pre, seed, a, xs)
+    residuals, jacobian = fit_residuals(xs, target_vals, lam1, lam2, state)
+    r = residuals(a)
+    return float(r @ r), 2.0 * (r @ jacobian(a))
 
 
 # Former exploration and state-match costs: nothing calls them, but perfbench's traced
@@ -613,20 +669,50 @@ def contract_cost_grad(a, xs, target_vals=None, lam1: float = 0.0, lam2: float =
 _mse_cost_grad = _statematch_cost_grad = contract_cost_grad
 
 
-def _lbfgs(fg, x0, maxiter: int = 4000, goal: float = -math.inf):
-    """L-BFGS-B on fg (cost and gradient), ended at the first iterate costing < goal.
+class _GoalMet(Exception):
+    """Raised from inside a solve at the first point whose cost is below its goal."""
 
-    The tolerances are far below any goal, so without one the solve runs until
-    it stalls or reaches ``maxiter``.
+    def __init__(self, x, cost):
+        super().__init__(cost)
+        self.x, self.cost = x, cost
+
+
+def _lsq_solve(problem, x0, goal: float = -math.inf):
+    """Least squares on a (residuals, jacobian) pair, ended at the first point costing < goal.
+
+    Returns x, the cost fun = r @ r and nfev, the residual evaluations made.
+    The residual function itself raises at the first evaluated point below the
+    goal, and that point is returned.  Without a goal the solve runs to
+    least_squares' default tolerances or to its cap of 100 K evaluations.
+
+    The method is "trf", a trust-region Gauss-Newton solve through an SVD of
+    J.  MINPACK's Levenberg-Marquardt ("lm") is faster on these fits, but in
+    scipy 1.17.1 it returns different points for the same inputs once J is
+    rank deficient, as the K=32 and K=40 flow Jacobians are to working
+    precision, so its cold refits do not repeat.
     """
-    def stop_at_goal(intermediate_result):
-        if intermediate_result.fun < goal:
-            raise StopIteration
+    residuals, jacobian = problem
+    nfev = 0
 
-    return minimize(
-        fg, x0, jac=True, method="L-BFGS-B", callback=stop_at_goal,
-        options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-15},
-    )
+    def fun(a):
+        nonlocal nfev
+        nfev += 1
+        r = residuals(a)
+        cost = float(r @ r)
+        if cost < goal:
+            raise _GoalMet(np.array(a, dtype=float), cost)
+        return r
+
+    try:
+        res = least_squares(fun, x0, jac=jacobian, method="trf")
+    except _GoalMet as met:
+        return SimpleNamespace(x=met.x, fun=met.cost, nfev=nfev)
+    return SimpleNamespace(x=res.x, fun=2.0 * res.cost, nfev=nfev)
+
+
+# perfbench's traced run wraps this name; no fit calls it since the solves became
+# least squares.
+_lbfgs = _lsq_solve
 
 
 def dr_angles_to_phases(a: Sequence[float], grover_pairs: bool = False) -> QspPhases:
@@ -650,6 +736,16 @@ def phases_to_dr_angles(phases: QspPhases) -> np.ndarray:
 TargetLike = Union[ChebyshevPoly, Callable[[np.ndarray], np.ndarray]]
 
 
+def chebyshev_nodes(n_d: int) -> np.ndarray:
+    """The flow fit's signal points x_j = cos((2j + 1) pi / (4 n_d)), j = 0 .. n_d - 1.
+
+    They are the positive half of the 2 n_d Chebyshev nodes on [-1, 1], dense
+    near x = 1, where the flow target turns fastest (Dong, Meng, Whaley & Lin,
+    arXiv:2002.11649, fit phase factors on these nodes).
+    """
+    return np.cos((2.0 * np.arange(n_d) + 1.0) * math.pi / (4.0 * n_d))
+
+
 # A restart improves on the best cost only if it lowers it by more than this
 # share; restarts that land in the same minimum again count toward the stall limit.
 STALL_MARGIN = 1e-6
@@ -657,20 +753,22 @@ STALL_MARGIN = 1e-6
 
 def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: float,
                 stall_limit: float = math.inf, start=None):
-    """Seeded multi-start local descent; returns the winning (angles, cost).
+    """Seeded multi-start least squares; returns the winning (angles, cost).
 
-    A chain is a tuple of cost functions solved in turn, each from the previous
-    solve's point, and every chain of a restart starts from the same point.
+    A chain is a tuple of problems, (residuals, jacobian) pairs from
+    fit_residuals, each solved by _lsq_solve in turn from the previous solve's
+    point, and every chain of a restart starts from the same point.
     Restart 0 starts from the small random point 0.01 N(0, 1), a given
     ``start`` is restart 1, and later restarts perturb ``start`` (zeros
     without one) by N(0, spread).
 
     The goal is the stop rule.  The last solve of a chain, whose cost is the
-    one compared with the goal, ends at its first iterate below the goal; the
-    solves before it run to their own end.  Once the best cost is below the
-    goal the fit ends, skipping the remaining chains and restarts.  It also
-    ends after ``stall_limit`` restarts in a row that did not lower the best
-    cost by more than the relative STALL_MARGIN.  Ties go to the earlier restart.
+    one compared with the goal, ends at its first evaluated point below the
+    goal; the solves before it run to their own end.  Once the best cost is
+    below the goal the fit ends, skipping the remaining chains and restarts.
+    It also ends after ``stall_limit`` restarts in a row that did not lower
+    the best cost by more than the relative STALL_MARGIN.  Ties go to the
+    earlier restart.
     """
     rng = np.random.default_rng(seed)
     centre = np.zeros(k) if start is None else start
@@ -683,9 +781,9 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
         before = best_cost
         for *lead, last in chains:
             x = x0
-            for fg in lead:
-                x = _lbfgs(fg, x).x
-            res = _lbfgs(last, x, goal=goal)
+            for problem in lead:
+                x = _lsq_solve(problem, x).x
+            res = _lsq_solve(last, x, goal=goal)
             if math.isfinite(res.fun) and res.fun < best_cost:
                 best_a, best_cost = res.x, float(res.fun)
             if best_cost < goal:
@@ -721,16 +819,17 @@ def fit_phases(
 ) -> tuple[QspPhases, float]:
     """Fit K sequence phases to a target polynomial on x in [0, 1].
 
-    Seeded multi-start local descent: each start runs an exploration solve
-    without the relative-phase term, then polishes on the full cost; the
-    winner is chosen by (cost, restart index).  Deterministic for fixed seed.
+    Seeded multi-start least squares on n_d uniform points: each start runs an
+    exploration solve without the relative-phase term, then polishes on the
+    full cost; the winner is chosen by (cost, restart index).  Deterministic
+    for fixed seed.
     """
     _check_k(k, n_d)
     _check_restarts(restarts)
     xs = np.linspace(0.0, 1.0, n_d)
     tv = np.asarray(target(xs), dtype=float)
-    full = lambda a: contract_cost_grad(a, xs, tv, lambda1, lambda2)
-    explore = lambda a: contract_cost_grad(a, xs, tv, lambda1)
+    full = fit_residuals(xs, tv, lambda1, lambda2)
+    explore = fit_residuals(xs, tv, lambda1)
     best_a, best_cost = _multistart(((explore, full), (full,)), 1e-10, k, seed, restarts,
                                     spread=0.5)
     return dr_angles_to_phases(best_a), best_cost
@@ -762,30 +861,31 @@ def fit_ite_phases(
 ) -> tuple[QspPhases, float]:
     """Fit phases whose final state follows the flow state (cos theta, sin theta).
 
-    theta = s x sqrt(1 - x^2) on n_d points of x in [0, 1].  The cost is the
-    figures' own metric, the mean infidelity 1 - |<(cos theta, sin theta)|(p, q)>|^2
-    (the ``state`` term of contract_cost_grad), and each restart is one L-BFGS
-    solve of it with goal cost 1e-10.  There are three kinds of start (see
+    theta = s x sqrt(1 - x^2) on the n_d Chebyshev nodes of chebyshev_nodes.
+    The cost is the figures' own metric, the mean infidelity
+    1 - |<(cos theta, sin theta)|(p, q)>|^2 (the ``state`` term of
+    fit_residuals), and each restart is one least-squares solve of it with
+    goal cost 1e-10.  There are three kinds of start (see
     _multistart).  Restart 0 is the small random point 0.01 N(0, 1) drawn from
     ``seed``, restart 1 the product formula of _formula_start, and later
     restarts perturb the formula by N(0, 0.4), also drawn from ``seed``.  So
     ``restarts=1`` never tries the formula, and ``seed`` steers restart 0 and
     the perturbations.
 
-    The goal is the stop rule: a solve ends at its first iterate below it, and
-    no further restart runs.  A fit that reaches the goal thus returns a cost
-    just below it, not the solver's best.  Otherwise the fit ends after three
-    restarts in a row that did not lower the best cost by more than the
+    The goal is the stop rule: a solve ends at its first evaluated point below
+    it, and no further restart runs.  A fit that reaches the goal thus returns
+    a cost just below it, not the solver's best.  Otherwise the fit ends after
+    three restarts in a row that did not lower the best cost by more than the
     relative STALL_MARGIN, or after ``restarts`` restarts.
     """
     if not 0.0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s!r}")
     _check_k(k, n_d)
     _check_restarts(restarts)
-    xs = np.linspace(0.0, 1.0, n_d)
+    xs = chebyshev_nodes(n_d)
     theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
     target = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    flow = lambda a: contract_cost_grad(a, xs, state=target)
+    flow = fit_residuals(xs, state=target)
     best_a, best_cost = _multistart(((flow,),), 1e-10, k, seed, restarts, spread=0.4,
                                     stall_limit=3, start=_formula_start(s, k))
     return dr_angles_to_phases(best_a), best_cost
@@ -824,7 +924,7 @@ def fixed_point_via_sign(
 
     xs = np.linspace(0.0, 1.0, max(50, k + 1))
     tv = _cheb.chebval(xs, final_coeffs)
-    sign = lambda a: contract_cost_grad(a, xs, tv, 0.01)
+    sign = fit_residuals(xs, tv, 0.01)
     quasi_chebyshev = fixed_point_angles(iterations, math.sqrt(2.0 * delta_cap))
     start = phases_to_dr_angles(grover_to_qsp(quasi_chebyshev))[:k]
     best_a, _ = _multistart(((sign,),), 2e-6, k, seed, restarts, spread=0.4, stall_limit=3,

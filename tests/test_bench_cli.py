@@ -347,11 +347,12 @@ def test_cli_qsp_fit_names_the_target_form(target, form):
 
 
 def test_cli_strict_exit_code_on_threshold_miss():
-    # iters=2 gives a 4-reflection budget, far too small for s=3: the fig-a
-    # thresholds must fail and --strict turns that into exit code 3
+    # iters=2 gives a 4-reflection budget, far too small for s=4 (median
+    # infidelity 0.052 against the bound 1e-2): the fig-a thresholds must fail
+    # and --strict turns that into exit code 3
     res = CliRunner().invoke(
         main,
-        ["bench", "fig-a", "--n", "4", "--iters", "2", "--s", "3.0", "--seed", "3",
+        ["bench", "fig-a", "--n", "4", "--iters", "2", "--s", "4.0", "--seed", "3",
          "--strict"],
     )
     assert res.exit_code == 3

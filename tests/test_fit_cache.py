@@ -3,10 +3,14 @@ holds nothing else, and a cold refit reproduces its entries."""
 
 import stat
 
+import numpy as np
 import pytest
 
 from grover_ite_lab import bench
-from grover_ite_lab.qsp_engine import QspPhases, fit_ite_phases
+from grover_ite_lab.qsp_engine import (QspPhases, _dr_forward, chebyshev_nodes, fit_ite_phases,
+                                       phases_to_dr_angles)
+
+FLOW_EXPERIMENTS = ("fig-a", "fig-b", "fig-c")
 
 
 @pytest.mark.parametrize("name", list(bench.CHECKS))
@@ -51,7 +55,7 @@ def test_cold_refit_matches_committed_entry(committed_cache):
     """fig-a's first fit (s=0.5, K=32, seed 0), refitted, against its cache entry.
 
     On the 2-CPU x86-64 host that filled the cache (numpy 2.4.6, scipy 1.17.1)
-    the refit is bit for bit the same and takes about 0.4 s; other
+    the refit is bit for bit the same and takes about 0.07 s; other
     numpy/scipy/BLAS builds may move the last digits, hence the tolerance.
     """
     config = bench.ExperimentConfig.for_experiment("fig-a")
@@ -61,3 +65,31 @@ def test_cold_refit_matches_committed_entry(committed_cache):
     assert sorted(committed_cache.iterdir()) == before  # a hit, not a fresh fit
     cold, _ = fit_ite_phases(s, 2 * config.iterations, seed=config.seed, restarts=config.restarts)
     assert cold.phases == pytest.approx(cached.phases, abs=1e-9, rel=0)
+
+
+def _flow_infidelity(phases, s, xs):
+    """1 - |<(cos theta, sin theta)|v>|^2 at each x, as |<(-sin theta, cos theta)|v>|^2."""
+    v = _dr_forward(phases_to_dr_angles(phases), xs)[-1]
+    theta = s * xs * np.sqrt(1.0 - xs ** 2)
+    return np.abs(np.cos(theta) * v[1] - np.sin(theta) * v[0]) ** 2
+
+
+def test_committed_flow_fits_hold_off_their_nodes(committed_cache):
+    """Each committed flow fit, on 4001 uniform x in [0, 1], stays within 10x of its cost.
+
+    The cost is the mean infidelity on the fit's own nodes.  A fit on 50 uniform
+    points missed the curve between them at large s: fig-c's s=16 entry cost
+    7.5e-9 on its grid yet reached 6.8e-3 between grid points.
+    """
+    dense = np.linspace(0.0, 1.0, 4001)
+    nodes = chebyshev_nodes(bench.FLOW_GRID)
+    problems = []
+    for name in FLOW_EXPERIMENTS:
+        config = bench.ExperimentConfig.for_experiment(name)
+        for s in config.s_values:
+            phases = bench.fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
+            cost = float(np.mean(_flow_infidelity(phases, s, nodes)))
+            worst = float(np.max(_flow_infidelity(phases, s, dense)))
+            if worst > 10.0 * cost:
+                problems.append(f"{name} s={s}: dense max {worst:.2e} vs cost {cost:.2e}")
+    assert not problems, "; ".join(problems)

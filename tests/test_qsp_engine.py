@@ -16,15 +16,17 @@ from grover_ite_lab.qsp_engine import (
     ChebyshevPoly,
     _dr_forward,
     _formula_start,
-    _lbfgs,
+    _lsq_solve,
     _multistart,
     QspPhases,
+    chebyshev_nodes,
     check_achievability,
     contract_cost_grad,
     convert_convention,
     dr_angles_to_phases,
     fit_ite_phases,
     fit_phases,
+    fit_residuals,
     fixed_point_via_sign,
     grover_to_qsp,
     jacobi_anger,
@@ -192,6 +194,17 @@ def test_target_ite_component_contract():
         assert poly.degree <= 2 * base.degree
 
 
+@pytest.mark.parametrize("s", [28.0, 32.0])
+def test_target_ite_component_at_long_durations(s):
+    """The power-basis substitution this replaced lost precision and raised from s=28 on."""
+    eps = 1e-3
+    poly = target_ite_component(s, eps)
+    grid = np.linspace(-1, 1, 2001)
+    assert np.abs(poly(grid) - np.cos(s * grid * np.sqrt(1 - grid ** 2))).max() <= eps
+    assert poly.parity == "even"
+    assert poly.degree <= 48
+
+
 def test_sign_poly_contract():
     eta, cap = 0.1, 0.05
     poly = sign_poly(eta, cap)
@@ -233,10 +246,21 @@ def assert_gradient_matches_finite_differences(cost_grad, a):
         assert grad[j] == pytest.approx((cp - cm) / (2 * eps), abs=1e-6, rel=1e-5)
 
 
-def test_contract_cost_gradient_matches_finite_differences(rng):
-    tv = np.cos(FD_THETA)
-    assert_gradient_matches_finite_differences(
-        lambda a: contract_cost_grad(a, FD_XS, tv, 0.01, 0.1), rng.normal(0, 0.8, 7))
+@pytest.mark.parametrize("terms", [
+    dict(state=FD_STATE),
+    dict(target_vals=np.cos(FD_THETA), lam1=0.01),
+    dict(target_vals=np.cos(FD_THETA), lam1=0.01, lam2=0.1),
+], ids=["flow", "sign", "polish"])
+def test_residual_jacobian_matches_central_differences(terms, rng):
+    """The backward sweep's Jacobian of the flow, sign and polish residuals, step 1e-6."""
+    residuals, jacobian = fit_residuals(FD_XS, **terms)
+    a = rng.normal(0, 0.8, 7)
+    jac = jacobian(a)
+    eps = 1e-6
+    central = np.stack([(residuals(a + eps * e) - residuals(a - eps * e)) / (2 * eps)
+                        for e in np.eye(len(a))], axis=1)
+    assert jac.shape == central.shape
+    assert np.abs(jac - central).max() < 1e-9
 
 
 def test_mse_cost_gradient_matches_finite_differences(rng):
@@ -343,27 +367,29 @@ def test_fixed_point_via_sign_structure():
 # each rung's goal became its stop rule, and again when the eta ladder gave way
 # to one rung whose restart 1 is the quasi-Chebyshev fixed-point prefix.  The
 # flow fit's phases were recorded again when it lost its duration ladder, and
-# again when its cost became the mean flow infidelity alone: its cost is now
-# that infidelity, not the contract cost, and it finds a different minimum.
-PINNED_FIT_PHASES = (0.7118930519046911, 5.446035170680741e-08, 0.7118929974443394)
-PINNED_FIT_COST = 0.1047009804948007
-PINNED_ITE_PHASES = (1.138766487682357, -2.4569255933102485, -1.5120469990406664,
-                     2.8077307405779237, 2.3000083394553483)
-PINNED_ITE_COST = 0.00036128747936933216
+# again when its cost became the mean flow infidelity alone.  All three were
+# recorded again when every solve became least squares on the residuals and
+# the flow fit moved to Chebyshev nodes, so the flow cost is now the mean
+# infidelity on those nodes.
+PINNED_FIT_PHASES = (0.7075302558084524, 9.83633833904034e-09, 0.7075302459721141)
+PINNED_FIT_COST = 0.10517111083718028
+PINNED_ITE_PHASES = (-1.1455685129561224, -0.6896504230207215, -1.5707961501291778,
+                     0.3294800548214498, 0.7853980053723272)
+PINNED_ITE_COST = 0.0004311658087292044
 PINNED_SIGN_PAIRS = (
-    (-3.061772444685244, -0.7295834245141509), (-3.77722280670898, -2.255469332160955),
-    (-0.5535404377623592, -4.512891302651509), (-2.696791814482282, -1.530057534213766),
-    (-4.737614576344028, -2.7242384878599597), (0.0, -4.992538361693157),
+    (-3.2215873748040957, -5.553640682422249), (-2.5062247915536715, -4.027843834897048),
+    (0.5535052886776046, -1.7703861467282511), (-3.5861174794254036, -4.753093846856734),
+    (-1.5454506628840328, -3.558835169174177), (0.0, -1.290456186403103),
 )
 
 
 def test_fits_match_pinned_outputs():
     """Phases and costs of three cheap fits, one per entry point, within 1e-9.
 
-    The values were recorded with numpy 2.4.6, scipy 1.17.1 and one OpenBLAS
-    thread, and also hold with two OpenBLAS threads on a 2-CPU x86-64 host.
+    The values were recorded with numpy 2.4.6, scipy 1.17.1 and two OpenBLAS
+    threads, and are the same bit for bit with one, on a 2-CPU x86-64 host.
     Whether they hold under other numpy/scipy/BLAS builds is unverified: the
-    L-BFGS paths can drift in the last digits there.
+    least-squares solves can drift in the last digits there.
     """
     phases, cost = fit_phases(ChebyshevPoly((0.3, 0.0, 0.5), "even"), 2, seed=11, restarts=3)
     assert phases.phases == pytest.approx(PINNED_FIT_PHASES, abs=1e-9, rel=0)
@@ -380,14 +406,15 @@ def test_fits_match_pinned_outputs():
 
 
 def _counted_quadratic(calls, name, floor=0.0):
-    """sum_i i x_i^2 + floor over 10 angles; counts its calls in calls[name]."""
-    w = np.arange(1.0, 11.0)
+    """Residuals (sqrt(i) x_i, sqrt(floor)) over 10 angles, cost sum_i i x_i^2 + floor,
+    and their Jacobian; counts the residual calls in calls[name]."""
+    w = np.sqrt(np.arange(1.0, 11.0))
 
-    def fg(a):
+    def residuals(a):
         calls[name] += 1
-        return float(np.sum(w * a * a)) + floor, 2.0 * w * a
+        return np.append(w * a, math.sqrt(floor))
 
-    return fg
+    return residuals, lambda a: np.vstack([np.diag(w), np.zeros(10)])
 
 
 @pytest.mark.parametrize("k", [6, 8])
@@ -414,12 +441,49 @@ def test_formula_start_below_two_iterates_is_zero():
         assert np.array_equal(_formula_start(2.0, k), np.zeros(k))
 
 
-def test_lbfgs_stops_at_first_iterate_below_goal():
-    fg, x0, goal = _counted_quadratic(Counter(), "q"), np.ones(10), 1e-3
-    res = _lbfgs(fg, x0, goal=goal)
-    assert res.fun < goal <= _lbfgs(fg, x0, maxiter=res.nit - 1).fun
-    assert np.array_equal(res.x, _lbfgs(fg, x0, maxiter=res.nit).x)
-    assert res.nit < _lbfgs(fg, x0).nit
+def test_solve_stops_at_first_point_below_goal():
+    """On the s=1, K=8 flow fit from the product formula: the solve returns the first
+    evaluated point below the goal, where a solve without a goal goes on to a lower cost."""
+    xs = chebyshev_nodes(50)
+    theta = xs * np.sqrt(1.0 - xs ** 2)
+    residuals, jacobian = fit_residuals(xs, state=np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    seen = []
+
+    def recorded(a):
+        r = residuals(a)
+        seen.append((np.array(a), float(r @ r)))
+        return r
+
+    goal = 1e-6
+    start = _formula_start(1.0, 8)
+    res = _lsq_solve((recorded, jacobian), start, goal=goal)
+    assert res.fun < goal and res.nfev == len(seen)
+    assert all(cost >= goal for _, cost in seen[:-1])
+    assert np.array_equal(res.x, seen[-1][0]) and res.fun == seen[-1][1]
+    free = _lsq_solve((residuals, jacobian), start)
+    assert free.fun < res.fun and free.nfev > res.nfev
+
+
+def test_solve_repeats_on_a_rank_deficient_jacobian():
+    """Two of six parameters enter only as their sum.  MINPACK's "lm" in scipy
+    1.17.1 returned 2 to 5 different points over these 100 solves of one input."""
+    t = np.linspace(0.0, 3.0, 60)
+    y = 2.0 * np.exp(-1.3 * t) + 0.5 * np.sin(3.0 * t)
+
+    def residuals(p):
+        return p[0] * np.exp(-p[1] * t) + p[2] * np.sin(p[3] * t) + (p[4] + p[5]) * t ** 2 - y
+
+    def jacobian(p):
+        e = np.exp(-p[1] * t)
+        return np.stack([e, -p[0] * t * e, np.sin(p[3] * t), p[2] * t * np.cos(p[3] * t),
+                         t ** 2, t ** 2], axis=1)
+
+    x0 = np.array([1.0, 1.0, 1.0, 2.5, 0.1, 0.3])
+    rng, junk, points = np.random.default_rng(0), [], set()
+    for _ in range(100):
+        junk.append(rng.random(rng.integers(1, 200)))  # move the solver's work arrays in the heap
+        points.add(_lsq_solve((residuals, jacobian), x0).x.tobytes())
+    assert len(points) == 1
 
 
 @pytest.mark.parametrize("floor", [0.0, 1.0])
@@ -443,11 +507,11 @@ def test_multistart_stalls_on_restarts_that_refind_the_best_minimum(monkeypatch)
     the rung after 1 + stall_limit restarts."""
     costs = []
 
-    def same_minimum(fg, x0, maxiter=4000, goal=-math.inf):
+    def same_minimum(problem, x0, goal=-math.inf):
         costs.append(1.0 - 1e-15 * len(costs))
         return SimpleNamespace(x=np.asarray(x0), fun=costs[-1])
 
-    monkeypatch.setattr(qsp_engine, "_lbfgs", same_minimum)
+    monkeypatch.setattr(qsp_engine, "_lsq_solve", same_minimum)
     chains = ((_counted_quadratic(Counter(), "q"),),)
     _, cost = _multistart(chains, 1e-3, 10, seed=0, restarts=8, spread=0.5, stall_limit=3)
     assert len(costs) == 1 + 3
@@ -464,11 +528,11 @@ def test_restarts_start_at_the_closed_form_schedule(fit, seed, start, monkeypatc
     quasi-Chebyshev prefix at delta^2 = 2 cap) and restart 2 perturbs it by N(0, 0.4)."""
     starts = []
 
-    def record(fg, x0, maxiter=4000, goal=-math.inf):
+    def record(problem, x0, goal=-math.inf):
         starts.append(np.array(x0))
         return SimpleNamespace(x=np.asarray(x0), fun=1.0)
 
-    monkeypatch.setattr(qsp_engine, "_lbfgs", record)
+    monkeypatch.setattr(qsp_engine, "_lsq_solve", record)
     fit()
     want = start()
     rng = np.random.default_rng(seed)
@@ -480,13 +544,13 @@ def test_restarts_start_at_the_closed_form_schedule(fit, seed, start, monkeypatc
 
 @pytest.mark.parametrize("s", [3.0, 4.0, 5.0, 6.0])
 def test_exact_flow_state_has_zero_flow_cost(s, monkeypatch):
-    """The exact flow state (cos theta, sin theta) must cost 0 on the n_d=50 grid.
+    """The exact flow state (cos theta, sin theta) must cost 0 on the flow fit's 50 nodes.
 
     The contract cost's phase term did not: it asks for arg(p conj q) = 0, but
     the exact state has arg pi wherever s x sqrt(1 - x^2) > pi/2, possible once
     s > pi (0.454 at s=4), so the flow fit no longer uses it.
     """
-    xs = np.linspace(0.0, 1.0, 50)
+    xs = chebyshev_nodes(50)
     theta = s * xs * np.sqrt(1.0 - xs ** 2)
     exact = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     monkeypatch.setattr(qsp_engine, "_final_state",
