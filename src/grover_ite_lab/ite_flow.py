@@ -91,13 +91,13 @@ def exact_commutator_exponential(inst: SearchInstance, s: float) -> np.ndarray:
     """
     inst.require_nondegenerate()
     inst.require_dense()
-    psi0 = make_initial(inst)
-    perp = make_perp(inst)
+    basis = np.stack([make_initial(inst), make_perp(inst)], axis=1)
     theta = s * np.sqrt(inst.v0)
     c, sn = np.cos(theta), np.sin(theta)
-    u = np.eye(inst.n_states, dtype=complex)
-    u += (c - 1.0) * (np.outer(psi0, psi0.conj()) + np.outer(perp, perp.conj()))
-    u += sn * (np.outer(perp, psi0.conj()) - np.outer(psi0, perp.conj()))
+    # (c - 1)(psi0 psi0^dag + perp perp^dag) + sn (perp psi0^dag - psi0 perp^dag)
+    rotation = np.array([[c - 1.0, -sn], [sn, c - 1.0]], dtype=complex)
+    u = basis @ rotation @ basis.conj().T
+    u[np.diag_indices(inst.n_states)] += 1.0
     return u
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NonAlternatingSchedule,
 )
 from .ite_flow import exact_commutator_exponential
-from .search_core import SearchInstance, make_initial
+from .search_core import SearchInstance
 
 
 class Generator(str, Enum):
@@ -274,7 +274,6 @@ def schedule_unitary(inst: SearchInstance, schedule: AngleSchedule) -> np.ndarra
     """Dense ordered product of the schedule's pulse exponentials."""
     inst.require_dense()
     n = inst.n_states
-    psi0 = make_initial(inst)
     marked = list(inst.marked)
     u = np.eye(n, dtype=complex)
     for p in schedule.pulses:
@@ -282,8 +281,9 @@ def schedule_unitary(inst: SearchInstance, schedule: AngleSchedule) -> np.ndarra
         if p.generator is Generator.ORACLE:
             u[marked, :] *= phase
         else:
-            # rank-1 update: u <- u + (e^{i theta} - 1) psi0 (psi0^dag u)
-            u += (phase - 1.0) * np.outer(psi0, psi0.conj() @ u)
+            # rank-1 update u <- u + (e^{i theta} - 1) psi0 (psi0^dag u), in place:
+            # psi0 is uniform, so every row of psi0 psi0^dag u is u's column sums / N
+            u += ((phase - 1.0) / n) * u.sum(axis=0)
     return u
 
 
@@ -303,10 +303,11 @@ def measure_formula_error(inst, kind: FormulaKind, s_grid, fragments: int = 1):
 def fit_order(points) -> float:
     """Least-squares slope of log(error) against log(s).
 
-    Points with s <= 0 or error <= 1e-14 (noise floor) are dropped; at least
-    four must survive.
+    Only points with finite s > 0 and a finite error above the 1e-14 noise
+    floor are kept; at least four must survive.
     """
-    usable = [(s, e) for s, e in points if s > 0 and e > 1e-14]
+    usable = [(s, e) for s, e in points
+              if math.isfinite(s) and math.isfinite(e) and s > 0 and e > 1e-14]
     if len(usable) < 4:
         raise InsufficientData(f"need >= 4 usable points, have {len(usable)}")
     ls = np.log([s for s, _ in usable])

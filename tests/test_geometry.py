@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grover_ite_lab.errors import DimensionTooLarge, DomainError, NotOrthonormal
+from grover_ite_lab.errors import DimensionTooLarge, DomainError, NotOrthonormal, NumericalDomain
 from grover_ite_lab.geometry import (
     QUERY_BOUND_CONSTANT,
     fs_distance,
@@ -17,14 +17,26 @@ from grover_ite_lab.geometry import (
     query_bound,
     su_geodesic_length,
 )
-from grover_ite_lab.ite_flow import commutator_flow_state
+from grover_ite_lab.geometry import _sketched_norm
+from grover_ite_lab.ite_flow import commutator_flow_state, exact_commutator_exponential
+from grover_ite_lab.pf_compiler import (
+    FiveCopies,
+    GroupCommutator,
+    JeanKoseleff,
+    ThirdOrder,
+    TwoCopies,
+    compile_formula,
+    schedule_unitary,
+)
 from grover_ite_lab.search_core import (
     SearchInstance,
+    diffusion_matrix,
     embed_state,
     initial_projector_matrix,
     make_initial,
     make_perp,
     make_solution,
+    oracle_matrix,
     projector_matrix,
 )
 
@@ -152,3 +164,78 @@ def test_geodesic_spec_distance_invariant():
     inst = SearchInstance(3, (2, 6))
     spec = GeodesicSpec.between(make_initial(inst), make_solution(inst))
     assert spec.d_fs == pytest.approx(math.acos(math.sqrt(inst.e0)), abs=1e-13)
+
+
+def _svd_norm(op):
+    return float(np.linalg.svd(op, compute_uv=False)[0])
+
+
+def test_gci_error_rejects_non_finite_duration():
+    inst = SearchInstance(3, (0,))
+    for s in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(DomainError):
+            gci_error_bound(inst, s)
+        with pytest.raises(DomainError):
+            measured_gci_error(inst, s)
+
+
+def test_operator_norm_rejects_edge_inputs():
+    for bad in (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros(4), np.array(2.0),
+                np.zeros((2, 2, 2))):
+        with pytest.raises(DomainError):
+            operator_norm(bad)
+    for value in (math.nan, math.inf):
+        op = np.eye(16, dtype=complex)
+        op[3, 5] = value
+        with pytest.raises(NumericalDomain):
+            operator_norm(op)
+
+
+def test_operator_norm_sketch_matches_svd_on_pulse_differences():
+    # the n=9 differences are numerically rank 2, so the certified sketch answers
+    inst = SearchInstance(9, (17,))
+    kinds = (GroupCommutator(), ThirdOrder(), TwoCopies(GroupCommutator()),
+             JeanKoseleff(GroupCommutator()), FiveCopies(GroupCommutator()),
+             JeanKoseleff(ThirdOrder()))
+    for kind, s in [(kind, 1e-3) for kind in kinds] + [(GroupCommutator(), math.pi ** 2)]:
+        diff = (schedule_unitary(inst, compile_formula(kind, s))
+                - exact_commutator_exponential(inst, s))
+        assert _sketched_norm(diff) is not None
+        exact = _svd_norm(diff)
+        assert abs(operator_norm(diff) - exact) <= 1e-6 * exact
+
+
+def test_operator_norm_full_rank_falls_back_to_svd():
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    unitary, _ = np.linalg.qr(dense)
+    for op in (dense, unitary):
+        assert _sketched_norm(op) is None
+        assert abs(operator_norm(op) - _svd_norm(op)) <= 1e-12 * _svd_norm(op)
+    assert operator_norm(np.zeros((64, 64), dtype=complex)) == 0.0
+    assert operator_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_operator_norm_repeats_bit_for_bit():
+    inst = SearchInstance(7, (5, 90))
+    diff = (schedule_unitary(inst, compile_formula(ThirdOrder(), 0.2))
+            - exact_commutator_exponential(inst, 0.2))
+    assert operator_norm(diff) == operator_norm(diff)
+    assert operator_norm(diff.copy()) == operator_norm(diff)
+
+
+def test_gci_error_matches_dense_pulse_product():
+    # reference route: the group commutator as four dense pulse builds and
+    # their products, independent of schedule_unitary's in-place update
+    for n in range(3, 7):
+        big_n = 1 << n
+        for m in sorted({1, big_n // 4, big_n // 2, big_n - 1}):
+            inst = SearchInstance(n, tuple(range(m)))
+            for s in (0.1, 1.0, math.pi ** 2):
+                c = math.sqrt(s)
+                product = (diffusion_matrix(inst, c) @ oracle_matrix(inst, c)
+                           @ diffusion_matrix(inst, -c) @ oracle_matrix(inst, -c))
+                scheduled = schedule_unitary(inst, compile_formula(GroupCommutator(), s))
+                assert np.abs(scheduled - product).max() < 1e-13
+                exact = _svd_norm(product - exact_commutator_exponential(inst, s))
+                assert measured_gci_error(inst, s) == pytest.approx(exact, abs=1e-13)

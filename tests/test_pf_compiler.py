@@ -190,6 +190,15 @@ def test_fit_order_synthetic():
         fit_order([(0.1, 1e-20), (0.2, 1e-20), (0.3, 1e-16), (0.4, 1e-15)])
 
 
+def test_fit_order_drops_non_finite_points():
+    ss = list(np.logspace(-3, -1, 6))
+    clean = [(s, 2 * s ** 1.5) for s in ss]
+    noisy = clean + [(0.5, math.inf), (0.6, math.nan), (math.inf, 1.0), (math.nan, 1.0)]
+    assert fit_order(noisy) == fit_order(clean)
+    with pytest.raises(InsufficientData):
+        fit_order(clean[:3] + [(0.5, math.inf), (0.6, math.nan)])
+
+
 def test_schedule_json_roundtrip():
     sched = compile_formula(FiveCopies(GroupCommutator()), 0.42, fragments=2)
     text = sched.to_json()
