@@ -53,16 +53,16 @@ from .qsp_engine import (
     QspPhases,
     _dr_forward,
     fit_ite_phases,
+    fit_points,
     fixed_point_via_sign,
+    flow_state,
     grover_to_qsp,
     phases_to_dr_angles,
     qsp_to_grover,
 )
+from .search_core import MAX_QUBITS
 
 CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
-# Signal points of every flow fit, the Chebyshev nodes of qsp_engine.chebyshev_nodes;
-# a fit of K = 2 * iterations angles needs K <= FLOW_GRID.
-FLOW_GRID = 50
 # Marks the fit algorithm in both cache kinds; bumped whenever a fit's output may move.
 FIT_ALGO = "least-squares-v1"
 
@@ -132,14 +132,10 @@ class ExperimentConfig:
             raise ConfigInvalid("restarts must be >= 1")
         if not self.n_qubits:
             raise ConfigInvalid("n_qubits must list at least one qubit count")
-        if any(n < 1 or n > 14 for n in self.n_qubits):
-            raise ConfigInvalid("n_qubits entries must be in 1..14")
+        if any(n < 1 or n > MAX_QUBITS for n in self.n_qubits):
+            raise ConfigInvalid(f"n_qubits entries must be in 1..{MAX_QUBITS}")
         if not all(0.0 <= s < math.inf for s in self.s_values):
             raise ConfigInvalid("s_values must be finite and nonnegative")
-        if self.s_values and 2 * self.iterations > FLOW_GRID:
-            raise ConfigInvalid(
-                f"iterations must be <= {FLOW_GRID // 2} when s_values is non-empty: flow fits "
-                f"use a {FLOW_GRID}-point grid, got {self.iterations}")
         if not math.isfinite(self.eta):
             raise ConfigInvalid("eta must be finite")
 
@@ -208,10 +204,10 @@ def fitted_ite_phases(s: float, iterations: int, seed: int, restarts: int = 8) -
     k = 2 * iterations
     payload = {
         "target": "ite-cos", "algo": FIT_ALGO, "s": repr(float(s)), "k": k,
-        "n_d": FLOW_GRID, "nodes": "chebyshev", "seed": seed, "restarts": restarts,
+        "n_d": fit_points(k), "nodes": "chebyshev", "seed": seed, "restarts": restarts,
     }
     return _cached_phases(payload, lambda: fit_ite_phases(
-        s, k, n_d=FLOW_GRID, seed=seed, restarts=restarts)[0])
+        s, k, seed=seed, restarts=restarts)[0])
 
 
 def fitted_sign_schedule(iterations: int, eta: float, delta_cap: float, seed: int,
@@ -242,8 +238,8 @@ def _ite_infidelities(phases: QspPhases, s: float, n: int) -> list[tuple[int, fl
     xs = np.sqrt(e0s)
     a = phases_to_dr_angles(phases)
     state = _dr_forward(a, xs)[-1]
-    theta = s * xs * np.sqrt(1.0 - xs ** 2)
-    overlap = np.cos(theta) * state[0] + np.sin(theta) * state[1]
+    target = flow_state(s, xs)
+    overlap = target[:, 0] * state[0] + target[:, 1] * state[1]
     inf = 1.0 - np.abs(overlap) ** 2
     return [(int(m), float(e), float(i)) for m, e, i in zip(ms, e0s, inf)]
 

@@ -128,10 +128,12 @@ def run_reduced(schedule, e0s) -> tuple[np.ndarray, np.ndarray]:
         else:
             angles += [0.0, step.angle]
     e0s = np.asarray(e0s, dtype=float)
+    if not np.all((e0s >= 0.0) & (e0s <= 1.0)):  # NaN fails both comparisons
+        raise DomainError("every overlap e0 must be finite and in [0, 1]")
     pre = _dr_forward(np.array(angles, dtype=float), np.sqrt(e0s))
     states = pre[2::2]
     drift = np.abs(np.linalg.norm(states, axis=1) - 1.0).max(initial=0.0)
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:  # written so that a NaN drift fails it
         raise NumericalDomain(f"norm drift {drift:.2e} beyond limit")
     trace = np.abs(np.sqrt(e0s) * states[:, 0] + np.sqrt(1.0 - e0s) * states[:, 1]) ** 2
     return sign * pre[-1], trace

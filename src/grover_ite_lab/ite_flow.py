@@ -11,11 +11,12 @@ the solution, i.e. the generator is the commutator [H, |psi><psi|].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NullDirection, NumericalDomain, ZeroVariance
+from .errors import DomainError, NullDirection, NumericalDomain, ZeroVariance
 from .search_core import ReducedState, SearchInstance, make_initial, make_perp
 
 TAU_MAX = 700.0
@@ -31,12 +32,21 @@ class FlowPoint:
 
 
 def _safe_arccos(x: float) -> float:
-    if x > 1.0 + ARCCOS_GUARD or x < -1.0 - ARCCOS_GUARD:
+    if not -1.0 - ARCCOS_GUARD <= x <= 1.0 + ARCCOS_GUARD:
         raise NumericalDomain(f"arccos argument {x!r} outside [-1, 1] guard band")
     return float(np.arccos(min(1.0, max(-1.0, x))))
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 def _clamp_tau(tau: float) -> float:
+    """tau clamped to [0, TAU_MAX]; +-inf clamp too, NaN is an error."""
+    if math.isnan(tau):
+        raise DomainError("tau must not be NaN")
     return min(max(float(tau), 0.0), TAU_MAX)
 
 
@@ -79,8 +89,9 @@ def commutator_flow_state(inst: SearchInstance, s: float) -> FlowPoint:
     """State of exp(s [H_f, |psi0><psi0|]) psi0 in the reduced basis:
     (cos(s sqrt(v0)), sin(s sqrt(v0)))."""
     inst.require_nondegenerate()
+    s = _finite("s", s)
     theta = s * np.sqrt(inst.v0)
-    return FlowPoint(s=float(s), state=ReducedState(np.cos(theta), np.sin(theta)))
+    return FlowPoint(s=s, state=ReducedState(np.cos(theta), np.sin(theta)))
 
 
 def exact_commutator_exponential(inst: SearchInstance, s: float) -> np.ndarray:
@@ -91,6 +102,7 @@ def exact_commutator_exponential(inst: SearchInstance, s: float) -> np.ndarray:
     """
     inst.require_nondegenerate()
     inst.require_dense()
+    s = _finite("s", s)
     basis = np.stack([make_initial(inst), make_perp(inst)], axis=1)
     theta = s * np.sqrt(inst.v0)
     c, sn = np.cos(theta), np.sin(theta)
@@ -111,6 +123,7 @@ def synth_linear_step(hamiltonian: np.ndarray, psi: np.ndarray, x: float, y: flo
     The duration is reported in the [H, |psi><psi|] generator convention used
     throughout this package, so it is positive exactly when y > 0.
     """
+    x, y = _finite("x", x), _finite("y", y)
     if x == 0.0 and y == 0.0:
         raise NullDirection("need (x, y) != (0, 0)")
     h = np.asarray(hamiltonian, dtype=complex)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence, Union
@@ -366,8 +367,8 @@ def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if not 0.0 < eps < 1.0 / math.e:
         raise DomainError(f"eps must be in (0, 1/e), got {eps!r}")
-    if s < 0:
-        raise DomainError("s must be nonnegative")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"s must be finite and nonnegative, got {s!r}")
     ref = np.cos(s * _GRID) if kind == "cos" else np.sin(s * _GRID)
 
     def coeffs_up_to(degree: int) -> np.ndarray:
@@ -746,6 +747,17 @@ def chebyshev_nodes(n_d: int) -> np.ndarray:
     return np.cos((2.0 * np.arange(n_d) + 1.0) * math.pi / (4.0 * n_d))
 
 
+def fit_points(k: int) -> int:
+    """Signal points of a k-angle flow or sign fit: max(50, k + 1), so n_d > k."""
+    return max(50, k + 1)
+
+
+def flow_state(s: float, xs: np.ndarray) -> np.ndarray:
+    """The flow state (cos theta, sin theta), theta = s x sqrt(1 - x^2), as an (n, 2) array."""
+    theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
 # A restart improves on the best cost only if it lowers it by more than this
 # share; restarts that land in the same minimum again count toward the stall limit.
 STALL_MARGIN = 1e-6
@@ -796,10 +808,12 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     return best_a, best_cost
 
 
-def _check_k(k: int, n_d: int):
+def _check_k(k: int, n_d: int | None = None):
+    if not isinstance(k, numbers.Integral):
+        raise DomainError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise DomainError("k must be >= 1")
-    if n_d < k:
+    if n_d is not None and n_d < k:
         raise DomainError(f"need n_d >= k, got n_d={n_d} < k={k}")
 
 
@@ -855,15 +869,14 @@ def _formula_start(s: float, k: int) -> np.ndarray:
 def fit_ite_phases(
     s: float,
     k: int,
-    n_d: int = 50,
     seed: int = 0,
     restarts: int = 8,
 ) -> tuple[QspPhases, float]:
     """Fit phases whose final state follows the flow state (cos theta, sin theta).
 
-    theta = s x sqrt(1 - x^2) on the n_d Chebyshev nodes of chebyshev_nodes.
-    The cost is the figures' own metric, the mean infidelity
-    1 - |<(cos theta, sin theta)|(p, q)>|^2 (the ``state`` term of
+    theta = s x sqrt(1 - x^2) (flow_state) on the fit_points(k) Chebyshev
+    nodes of chebyshev_nodes.  The cost is the figures' own metric, the mean
+    infidelity 1 - |<(cos theta, sin theta)|(p, q)>|^2 (the ``state`` term of
     fit_residuals), and each restart is one least-squares solve of it with
     goal cost 1e-10.  There are three kinds of start (see
     _multistart).  Restart 0 is the small random point 0.01 N(0, 1) drawn from
@@ -880,12 +893,10 @@ def fit_ite_phases(
     """
     if not 0.0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s!r}")
-    _check_k(k, n_d)
+    _check_k(k)
     _check_restarts(restarts)
-    xs = chebyshev_nodes(n_d)
-    theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
-    target = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    flow = fit_residuals(xs, state=target)
+    xs = chebyshev_nodes(fit_points(k))
+    flow = fit_residuals(xs, state=flow_state(s, xs))
     best_a, best_cost = _multistart(((flow,),), 1e-10, k, seed, restarts, spread=0.4,
                                     stall_limit=3, start=_formula_start(s, k))
     return dr_angles_to_phases(best_a), best_cost
@@ -922,7 +933,7 @@ def fixed_point_via_sign(
             f"sign approximant at eta={eta}, cap={delta_cap} needs degree > {k}"
         )
 
-    xs = np.linspace(0.0, 1.0, max(50, k + 1))
+    xs = np.linspace(0.0, 1.0, fit_points(k))
     tv = _cheb.chebval(xs, final_coeffs)
     sign = fit_residuals(xs, tv, 0.01)
     quasi_chebyshev = fixed_point_angles(iterations, math.sqrt(2.0 * delta_cap))

@@ -71,15 +71,14 @@ def test_cli_non_finite_duration_or_no_restarts_exits_2(args):
     assert ("restarts" if "--restarts" in args else "s_values") in res.output
 
 
-def test_cli_flow_iterations_beyond_the_fit_grid_exit_2():
-    """Flow fits use a 50-point grid, so at most 25 iterates fit; the message names
-    the config field and its limit, not the grid argument of the fit."""
-    res = CliRunner().invoke(main, ["bench", "fig-a", "--iters", "26", "--s", "0.5", "--n", "3"])
-    _assert_exit_2(res)
-    assert "iterations must be <= 25" in res.output
-    assert "n_d" not in res.output
-    assert ExperimentConfig.for_experiment("fig-a", iterations=25).iterations == 25
-    assert ExperimentConfig.for_experiment("fixed-point", iterations=26).iterations == 26
+def test_cli_flow_iterations_beyond_fifty_angles_exit_0():
+    """A flow fit of K = 2 * iterations angles runs on max(50, K + 1) nodes, so
+    no iteration count is out of reach; 26 iterates once exited 2."""
+    res = CliRunner().invoke(main, ["bench", "custom", "--iters", "26", "--s", "16", "--n", "4"])
+    assert res.exit_code == 0, res.output
+    rows = res.output.splitlines()[2:]  # after the version comment and the header
+    assert len(rows) == 15
+    assert all(float(row.split(",")[-1]) < 1e-6 for row in rows)
 
 
 def test_unknown_schedule_token_carries_token():

@@ -8,7 +8,7 @@ import pytest
 
 from grover_ite_lab import bench
 from grover_ite_lab.qsp_engine import (QspPhases, _dr_forward, chebyshev_nodes, fit_ite_phases,
-                                       phases_to_dr_angles)
+                                       fit_points, flow_state, phases_to_dr_angles)
 
 FLOW_EXPERIMENTS = ("fig-a", "fig-b", "fig-c")
 
@@ -70,22 +70,23 @@ def test_cold_refit_matches_committed_entry(committed_cache):
 def _flow_infidelity(phases, s, xs):
     """1 - |<(cos theta, sin theta)|v>|^2 at each x, as |<(-sin theta, cos theta)|v>|^2."""
     v = _dr_forward(phases_to_dr_angles(phases), xs)[-1]
-    theta = s * xs * np.sqrt(1.0 - xs ** 2)
-    return np.abs(np.cos(theta) * v[1] - np.sin(theta) * v[0]) ** 2
+    target = flow_state(s, xs)
+    return np.abs(target[:, 0] * v[1] - target[:, 1] * v[0]) ** 2
 
 
 def test_committed_flow_fits_hold_off_their_nodes(committed_cache):
     """Each committed flow fit, on 4001 uniform x in [0, 1], stays within 10x of its cost.
 
-    The cost is the mean infidelity on the fit's own nodes.  A fit on 50 uniform
-    points missed the curve between them at large s: fig-c's s=16 entry cost
-    7.5e-9 on its grid yet reached 6.8e-3 between grid points.
+    The cost is the mean infidelity on the fit's own fit_points(K) Chebyshev
+    nodes.  A fit on 50 uniform points missed the curve between them at large
+    s: fig-c's s=16 entry cost 7.5e-9 on its grid yet reached 6.8e-3 between
+    grid points.
     """
     dense = np.linspace(0.0, 1.0, 4001)
-    nodes = chebyshev_nodes(bench.FLOW_GRID)
     problems = []
     for name in FLOW_EXPERIMENTS:
         config = bench.ExperimentConfig.for_experiment(name)
+        nodes = chebyshev_nodes(fit_points(2 * config.iterations))
         for s in config.s_values:
             phases = bench.fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
             cost = float(np.mean(_flow_infidelity(phases, s, nodes)))

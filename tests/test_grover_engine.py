@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grover_ite_lab.errors import DomainError, EmptyMarkedSet
+from grover_ite_lab import grover_engine
+from grover_ite_lab.errors import DomainError, EmptyMarkedSet, NumericalDomain
 from grover_ite_lab.grover_engine import (
     NamedSchedule,
     diffusion,
@@ -215,3 +216,19 @@ def test_run_reduced_matches_full_runs(pulses):
         red_of_full, residual = reduce_state(inst, full_state)
         assert residual < 1e-10
         assert np.abs(final[:, i] - red_of_full.to_array()).max() < 1e-10
+
+
+@pytest.mark.parametrize("e0", [math.nan, math.inf, 2.0, -0.25])
+def test_run_reduced_rejects_overlaps_outside_the_unit_interval(e0):
+    """A NaN overlap once came back as NaN states and traces."""
+    with pytest.raises(DomainError, match="overlap"):
+        run_reduced(NamedSchedule("original-pi", 2), [0.25, e0])
+
+
+def test_run_reduced_norm_guard_trips_on_nan(monkeypatch):
+    def nan_sweep(a, xs):
+        return np.full((len(a) + 1, 2, len(xs)), np.nan, dtype=complex)
+
+    monkeypatch.setattr(grover_engine, "_dr_forward", nan_sweep)
+    with pytest.raises(NumericalDomain, match="norm drift"):
+        run_reduced(NamedSchedule("original-pi", 2), [0.25])

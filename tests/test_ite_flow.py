@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from grover_ite_lab.errors import NullDirection, ZeroVariance
+from grover_ite_lab.errors import DomainError, NullDirection, NumericalDomain, ZeroVariance
 from grover_ite_lab.ite_flow import (
+    TAU_MAX,
+    _safe_arccos,
     commutator_flow_state,
     duration_from_tau,
     exact_commutator_exponential,
@@ -178,3 +182,35 @@ def test_synth_linear_step_errors():
         synth_linear_step(projector_matrix(inst), make_initial(inst), 0.0, 0.0)
     with pytest.raises(ZeroVariance):
         synth_linear_step(np.eye(4), make_initial(inst), 1.0, 1.0)
+
+
+NAN_INST = SearchInstance(4, (3,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: duration_from_tau(NAN_INST, math.nan),
+    lambda: ite_state(NAN_INST, math.nan),
+    lambda: commutator_flow_state(NAN_INST, math.nan),
+    lambda: commutator_flow_state(NAN_INST, math.inf),
+    lambda: exact_commutator_exponential(NAN_INST, math.nan),
+    lambda: exact_commutator_exponential(NAN_INST, -math.inf),
+    lambda: synth_linear_step(np.diag([1.0, 0.0]), np.array([0.6, 0.8]), math.nan, 1.0),
+    lambda: synth_linear_step(np.diag([1.0, 0.0]), np.array([0.6, 0.8]), 1.0, math.inf),
+], ids=["duration_from_tau-nan", "ite_state-nan", "flow_state-nan", "flow_state-inf",
+        "exponential-nan", "exponential-minus-inf", "synth-x-nan", "synth-y-inf"])
+def test_non_finite_durations_and_coefficients_raise(call):
+    """NaN once passed through: duration_from_tau(., nan) returned 12.98, above
+    its documented bound optimal_duration (5.445), and the others NaN values."""
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_infinite_tau_clamps_to_tau_max():
+    assert duration_from_tau(NAN_INST, math.inf) == duration_from_tau(NAN_INST, TAU_MAX)
+    assert duration_from_tau(NAN_INST, math.inf) <= optimal_duration(NAN_INST)
+    assert np.array_equal(ite_state(NAN_INST, math.inf), ite_state(NAN_INST, TAU_MAX))
+
+
+def test_safe_arccos_rejects_nan():
+    with pytest.raises(NumericalDomain):
+        _safe_arccos(math.nan)

@@ -26,8 +26,10 @@ from grover_ite_lab.qsp_engine import (
     dr_angles_to_phases,
     fit_ite_phases,
     fit_phases,
+    fit_points,
     fit_residuals,
     fixed_point_via_sign,
+    flow_state,
     grover_to_qsp,
     jacobi_anger,
     phases_to_dr_angles,
@@ -293,6 +295,39 @@ def test_fit_ite_phases_rejects_non_finite_duration(s):
         fit_ite_phases(s, 4)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda: fit_ite_phases(1.0, 1.5),
+    lambda: fit_ite_phases(1.0, "8"),
+    lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 2.0),
+], ids=["ite-float", "ite-str", "poly-float"])
+def test_fits_reject_non_integer_k(fit):
+    with pytest.raises(DomainError, match="integer"):
+        fit()
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_jacobi_anger_rejects_non_finite_s(s):
+    with pytest.raises(DomainError, match="finite"):
+        jacobi_anger("cos", s, 1e-3)
+
+
+def test_fit_ite_phases_beyond_fifty_angles_holds_off_its_nodes():
+    """K = 60 fits on fit_points(60) = 61 Chebyshev nodes, meets the 1e-10 goal
+    there and stays within 10x of that cost on 4001 uniform points."""
+    s, k = 16.0, 60
+    assert fit_points(k) == 61 and fit_points(40) == 50
+    phases, cost = fit_ite_phases(s, k)
+    assert phases.k == k and cost < 1e-10
+
+    def infidelity(xs):
+        v = _dr_forward(phases_to_dr_angles(phases), xs)[-1]
+        t = flow_state(s, xs)
+        return 1.0 - np.abs(t[:, 0] * v[0] + t[:, 1] * v[1]) ** 2
+
+    assert float(np.mean(infidelity(chebyshev_nodes(61)))) == pytest.approx(cost, rel=1e-3)
+    assert float(np.max(infidelity(np.linspace(0.0, 1.0, 4001)))) <= 10.0 * cost
+
+
 @pytest.mark.parametrize("restarts", [0, -2])
 def test_fits_reject_restarts_below_one(restarts):
     fits = (lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 1, restarts=restarts),
@@ -551,8 +586,7 @@ def test_exact_flow_state_has_zero_flow_cost(s, monkeypatch):
     s > pi (0.454 at s=4), so the flow fit no longer uses it.
     """
     xs = chebyshev_nodes(50)
-    theta = s * xs * np.sqrt(1.0 - xs ** 2)
-    exact = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    exact = flow_state(s, xs)
     monkeypatch.setattr(qsp_engine, "_final_state",
                         lambda a, x: (_dr_forward(a, x), exact.astype(complex)))
     cost, _ = contract_cost_grad(np.zeros(2), xs, state=exact)
