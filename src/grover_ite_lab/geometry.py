@@ -22,7 +22,7 @@ import numpy as np
 
 from . import pf_compiler
 from .errors import DegenerateInstance, DimensionTooLarge, DomainError, NotOrthonormal, NumericalDomain
-from .ite_flow import exact_commutator_exponential, optimal_duration
+from .ite_flow import optimal_duration
 from .search_core import (
     DENSE_MAX_DIM,
     SearchInstance,
@@ -30,8 +30,10 @@ from .search_core import (
     make_initial,
     make_solution,
 )
-# Unused here, but perfbench/layers.py wraps geometry.diffusion_matrix and
-# geometry.oracle_matrix, and its --trace 1 run fails without both names.
+# Unused here, but perfbench/layers.py wraps geometry.diffusion_matrix,
+# geometry.oracle_matrix and geometry.exact_commutator_exponential, and its
+# --trace 1 run fails without these names.
+from .ite_flow import exact_commutator_exponential  # noqa: F401
 from .search_core import diffusion_matrix, oracle_matrix  # noqa: F401
 
 # Explicit constant of the sufficient query count: (2 sqrt(2) pi)^2 = 8 pi^2.
@@ -130,14 +132,12 @@ def measured_gci_error(inst: SearchInstance, s: float) -> float:
     """Dense operator-norm error of the group-commutator pulse product.
 
     || D(sqrt s) U_f(sqrt s) D(-sqrt s) U_f(-sqrt s) - exp(s [H_f, psi0]) ||,
-    with the product built by pf_compiler.schedule_unitary.
+    computed by pf_compiler.formula_error.
     """
     inst.require_nondegenerate()
     inst.require_dense()
     _require_duration(s)
-    product = pf_compiler.schedule_unitary(
-        inst, pf_compiler.compile_formula(pf_compiler.GroupCommutator(), s))
-    return operator_norm(product - exact_commutator_exponential(inst, s))
+    return pf_compiler.formula_error(inst, pf_compiler.GroupCommutator(), s)
 
 
 def _sketched_norm(op: np.ndarray) -> float | None:
@@ -154,7 +154,8 @@ def _sketched_norm(op: np.ndarray) -> float | None:
     q, _ = np.linalg.qr(op @ omega)
     b = q.conj().T @ op
     sigma = float(np.linalg.svd(b, compute_uv=False)[0])
-    rho = float(np.linalg.norm(op - q @ b))
+    residual = q @ b
+    rho = float(np.linalg.norm(np.subtract(op, residual, out=residual)))
     if math.hypot(sigma, rho) - sigma <= _SKETCH_RTOL * sigma:
         return sigma
     return None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyMarkedSet, NonAlternatingSchedule, NumericalDomain
-from .pf_compiler import Generator, fixed_point_angles
+from .pf_compiler import Generator, fixed_point_angles, require_count
 from .qsp_engine import _dr_forward, reflection_matrix
 from .search_core import (
     ReducedState,
@@ -78,8 +78,7 @@ class NamedSchedule:
     delta2: float | None = None
 
     def angle_pairs(self) -> list[tuple[float, float]]:
-        if self.iterations < 1:
-            raise DomainError("iterations must be >= 1")
+        require_count("iterations", self.iterations)
         if self.kind == "original-pi":
             return [(math.pi, math.pi)] * self.iterations
         if self.kind == "pi-over-three":

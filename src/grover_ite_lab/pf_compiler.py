@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -225,12 +226,19 @@ def _base_pulses(kind: FormulaKind, sigma: float) -> tuple[Pulse, ...]:
     raise TypeError(f"unknown formula kind {kind!r}")
 
 
+def require_count(name: str, value) -> None:
+    """DomainError unless value is an integer >= 1 (an iterate, angle or copy count)."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1")
+
+
 def compile_formula(kind: FormulaKind, s: float, fragments: int = 1) -> AngleSchedule:
     """Schedule approximating exp(s [H_f, P0]) as `fragments` copies at s/fragments."""
     if s < 0:
         raise NegativeDuration(f"duration must be nonnegative, got {s!r}")
-    if fragments < 1:
-        raise DomainError("fragments must be >= 1")
+    require_count("fragments", fragments)
     if formula_depth(kind) > MAX_RECURSION_DEPTH:
         raise DepthExceeded(f"recursion depth > {MAX_RECURSION_DEPTH}")
     sigma = math.sqrt(s / fragments)
@@ -251,8 +259,7 @@ def fixed_point_angles(iterations: int, delta: float) -> AngleSchedule:
     defined at the tan poles; the alpha/beta reversal symmetry is exact by
     construction.
     """
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
+    require_count("iterations", iterations)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta!r}")
     big_l = 2 * iterations + 1
@@ -287,17 +294,22 @@ def schedule_unitary(inst: SearchInstance, schedule: AngleSchedule) -> np.ndarra
     return u
 
 
+def formula_error(inst, kind: FormulaKind, s: float, fragments: int = 1) -> float:
+    """Dense operator-norm error of the compiled formula against exp(s [H_f, psi0]).
+
+    The exact exponential is subtracted in place from the product, which this
+    function owns, so the difference takes no N x N array of its own.
+    """
+    s = float(s)
+    product = schedule_unitary(inst, compile_formula(kind, s, fragments))
+    product -= exact_commutator_exponential(inst, s)
+    return geometry.operator_norm(product)
+
+
 def measure_formula_error(inst, kind: FormulaKind, s_grid, fragments: int = 1):
     """(s, operator-norm error) pairs of the compiled schedule vs the exact flow."""
     inst.require_dense(512)
-    out = []
-    for s in s_grid:
-        sched = compile_formula(kind, float(s), fragments)
-        err = geometry.operator_norm(
-            schedule_unitary(inst, sched) - exact_commutator_exponential(inst, float(s))
-        )
-        out.append((float(s), err))
-    return out
+    return [(float(s), formula_error(inst, kind, s, fragments)) for s in s_grid]
 
 
 def fit_order(points) -> float:

@@ -30,21 +30,23 @@ fit cost is a mean of squared residuals, so each solve is trust-region least
 squares (scipy's least_squares, method "trf") on the residuals and their
 Jacobian.  The Jacobian comes analytically from one forward and one backward
 sweep through the 2x2 product, and restarts are seeded for determinism.
+
+scipy is imported inside the functions that use it (the least-squares solve,
+the condition check's bounded minimisation, the Bessel and error-function
+series), not at module load: its import takes most of the package's start-up
+time, and the figure commands on a warm phase cache call none of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.optimize import least_squares, minimize_scalar
-from scipy.special import erf, erfinv, jv
 
 from .errors import (
     DegreeTooSmall,
@@ -53,7 +55,7 @@ from .errors import (
     OptimizerDiverged,
 )
 from .pf_compiler import (AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula,
-                          fixed_point_angles)
+                          fixed_point_angles, require_count)
 
 # ---------------------------------------------------------------------------
 # Phase lists and sequence evaluation
@@ -326,6 +328,8 @@ def check_achievability(poly: ChebyshevPoly, k: int, tol: float = 1e-6) -> Achie
         f = np.abs(poly(1j * ts)) ** 2
         jm = int(np.argmin(f))
         lo, hi_b = max(0, jm - 1), min(len(ts) - 1, jm + 1)
+        from scipy.optimize import minimize_scalar
+
         refine = minimize_scalar(
             lambda t: float(np.abs(poly(1j * t)) ** 2),
             bounds=(ts[lo], ts[hi_b]),
@@ -369,6 +373,8 @@ def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
         raise DomainError(f"eps must be in (0, 1/e), got {eps!r}")
     if not 0.0 <= s < math.inf:
         raise DomainError(f"s must be finite and nonnegative, got {s!r}")
+    from scipy.special import jv
+
     ref = np.cos(s * _GRID) if kind == "cos" else np.sin(s * _GRID)
 
     def coeffs_up_to(degree: int) -> np.ndarray:
@@ -443,6 +449,8 @@ def _sign_series(eta: float, cap: float, halfwidth: float, max_degree: int):
     odd degree whose truncation satisfies |p - sgn| <= cap for |x| >= eta and
     |p| <= 1 everywhere on the domain, or None if max_degree is not enough.
     """
+    from scipy.special import erf, erfinv
+
     kappa = erfinv(1.0 - cap / 2.0) / eta
     scale = 1.0 - cap / 4.0
     grid = np.linspace(-1.0, 1.0, 4001)
@@ -692,6 +700,8 @@ def _lsq_solve(problem, x0, goal: float = -math.inf):
     rank deficient, as the K=32 and K=40 flow Jacobians are to working
     precision, so its cold refits do not repeat.
     """
+    from scipy.optimize import least_squares
+
     residuals, jacobian = problem
     nfev = 0
 
@@ -809,10 +819,7 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
 
 
 def _check_k(k: int, n_d: int | None = None):
-    if not isinstance(k, numbers.Integral):
-        raise DomainError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    require_count("k", k)
     if n_d is not None and n_d < k:
         raise DomainError(f"need n_d >= k, got n_d={n_d} < k={k}")
 
@@ -921,8 +928,7 @@ def fixed_point_via_sign(
     restart 1 is the first 2N-1 D-X angles of the quasi-Chebyshev fixed-point
     schedule (fixed_point_angles at delta^2 = 2 delta_cap).
     """
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
+    require_count("iterations", iterations)
     if not 0.0 < eta < 1.0 or not 0.0 < delta_cap < 0.5:
         raise DomainError("need eta in (0,1) and delta_cap in (0, 1/2)")
     _check_restarts(restarts)

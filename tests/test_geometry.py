@@ -239,3 +239,25 @@ def test_gci_error_matches_dense_pulse_product():
                 assert np.abs(scheduled - product).max() < 1e-13
                 exact = _svd_norm(product - exact_commutator_exponential(inst, s))
                 assert measured_gci_error(inst, s) == pytest.approx(exact, abs=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 16, 32, 63])
+def test_measured_gci_error_equals_the_out_of_place_difference(m):
+    # the error is formed in place in the product's buffer; the value must not move
+    inst = SearchInstance(6, tuple(range(m)))
+    for s in (1e-3, 0.1, 1.0, math.pi ** 2):
+        product = schedule_unitary(inst, compile_formula(GroupCommutator(), s))
+        expected = operator_norm(product - exact_commutator_exponential(inst, s))
+        assert measured_gci_error(inst, s) == expected
+
+
+def test_operator_norm_leaves_its_input_unchanged():
+    inst = SearchInstance(6, (5, 40))
+    rng = np.random.default_rng(5)
+    diff = (schedule_unitary(inst, compile_formula(ThirdOrder(), 0.3))
+            - exact_commutator_exponential(inst, 0.3))
+    full_rank = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    for op in (diff, full_rank, diff.real):
+        before = op.copy()
+        operator_norm(op)
+        assert np.array_equal(op, before)

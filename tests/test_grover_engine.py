@@ -232,3 +232,15 @@ def test_run_reduced_norm_guard_trips_on_nan(monkeypatch):
     monkeypatch.setattr(grover_engine, "_dr_forward", nan_sweep)
     with pytest.raises(NumericalDomain, match="norm drift"):
         run_reduced(NamedSchedule("original-pi", 2), [0.25])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NamedSchedule("original-pi", 2.5).angle_pairs(),
+    lambda: NamedSchedule("pi-over-three", "3").angle_pairs(),
+    lambda: NamedSchedule("fixed-point-chebyshev", 2.5, delta2=0.1).angle_pairs(),
+    lambda: fixed_point_angles(2.5, 0.3),
+], ids=["original-pi", "pi-over-three-str", "fixed-point-chebyshev", "fixed-point-angles"])
+def test_non_integer_iteration_counts_raise_domain_error(make):
+    """These once raised TypeError from list repetition or range()."""
+    with pytest.raises(DomainError, match="integer"):
+        make()

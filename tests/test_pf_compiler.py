@@ -88,6 +88,9 @@ def test_formula_orders_and_validation():
         compile_formula(TwoCopies(ThirdOrder()), 0.1)  # odd-order base
     with pytest.raises(NegativeDuration):
         compile_formula(GroupCommutator(), -1.0)
+    for fragments in (0, 1.5, 2.0, "2"):
+        with pytest.raises(DomainError, match="fragments"):
+            compile_formula(GroupCommutator(), 0.5, fragments=fragments)
     deep = GroupCommutator()
     for _ in range(7):
         deep = FiveCopies(deep)
@@ -180,6 +183,19 @@ def test_fragmentation_inequality():
         whole = measure_formula_error(INST, GroupCommutator(), [s], fragments=frags)[0][1]
         single = measure_formula_error(INST, GroupCommutator(), [s / frags])[0][1]
         assert whole <= frags * single + 1e-12
+
+
+def test_measure_formula_error_equals_the_out_of_place_difference():
+    # each error is formed in place in the product's buffer; no value may move
+    inst = SearchInstance(6, (7, 21, 50))
+    grid = [0.01, 0.05, 0.2, 1.0]
+    for kind, frags in [(GroupCommutator(), 1), (ThirdOrder(), 1), (GroupCommutator(), 3)]:
+        expected = [
+            (s, operator_norm(schedule_unitary(inst, compile_formula(kind, s, frags))
+                              - exact_commutator_exponential(inst, s)))
+            for s in grid
+        ]
+        assert measure_formula_error(inst, kind, grid, fragments=frags) == expected
 
 
 def test_fit_order_synthetic():

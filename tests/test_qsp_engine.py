@@ -299,7 +299,8 @@ def test_fit_ite_phases_rejects_non_finite_duration(s):
     lambda: fit_ite_phases(1.0, 1.5),
     lambda: fit_ite_phases(1.0, "8"),
     lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 2.0),
-], ids=["ite-float", "ite-str", "poly-float"])
+    lambda: fixed_point_via_sign(2.5, 0.35, 0.05),
+], ids=["ite-float", "ite-str", "poly-float", "sign-float"])
 def test_fits_reject_non_integer_k(fit):
     with pytest.raises(DomainError, match="integer"):
         fit()
