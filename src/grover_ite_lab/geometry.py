@@ -6,11 +6,16 @@ The group-commutator inequality bounds the operator-norm error of the 4-pulse
 approximant of exp(s [H_f, psi0]) by s^{3/2} * 2 * sqrt(2 v0), which is the
 engine behind the explicit sufficient query count exposed as query_bound.
 
-The measured counterpart keeps the full N x N operators.  Their difference is
-numerically rank 2 (it lives on span{psi0, psi0_perp}), so operator_norm takes
-the largest singular value of a fixed-seed rank-8 randomized sketch (Halko,
-Martinsson & Tropp, SIAM Rev. 53:217, 2011) in O(N^2) work.  The sketch's
-residual certifies the answer; a full SVD runs whenever it does not.
+The measured counterpart works on the invariant plane span{psi0, psi0_perp}:
+every pulse and the exact exponential act there as 2x2 matrices and outside it
+as the identity or a scalar phase, so pf_compiler.formula_error takes the
+norm of a 2x2 difference and equals the dense N x N value at O(1) cost in N.
+
+operator_norm still serves dense input.  A difference of the full N x N
+operators is numerically rank 2, so it takes the largest singular value of a
+fixed-seed rank-8 randomized sketch (Halko, Martinsson & Tropp, SIAM Rev.
+53:217, 2011) in O(N^2) work.  The sketch's residual certifies the answer; a
+full SVD runs whenever it does not.
 """
 
 from __future__ import annotations
@@ -129,13 +134,13 @@ def gci_error_bound(inst: SearchInstance, s: float) -> float:
 
 
 def measured_gci_error(inst: SearchInstance, s: float) -> float:
-    """Dense operator-norm error of the group-commutator pulse product.
+    """Operator-norm error of the group-commutator pulse product.
 
     || D(sqrt s) U_f(sqrt s) D(-sqrt s) U_f(-sqrt s) - exp(s [H_f, psi0]) ||,
-    computed by pf_compiler.formula_error.
+    computed by pf_compiler.formula_error on the invariant plane, so it holds
+    the dense norm for every instance up to MAX_QUBITS.
     """
     inst.require_nondegenerate()
-    inst.require_dense()
     _require_duration(s)
     return pf_compiler.formula_error(inst, pf_compiler.GroupCommutator(), s)
 

@@ -34,8 +34,11 @@ from .errors import (
     NegativeDuration,
     NonAlternatingSchedule,
 )
-from .ite_flow import exact_commutator_exponential
 from .search_core import SearchInstance
+# Unused here, but perfbench/layers.py wraps
+# pf_compiler.exact_commutator_exponential, and its --trace 1 run fails
+# without this name.
+from .ite_flow import exact_commutator_exponential  # noqa: F401
 
 
 class Generator(str, Enum):
@@ -295,33 +298,64 @@ def schedule_unitary(inst: SearchInstance, schedule: AngleSchedule) -> np.ndarra
 
 
 def formula_error(inst, kind: FormulaKind, s: float, fragments: int = 1) -> float:
-    """Dense operator-norm error of the compiled formula against exp(s [H_f, psi0]).
+    """Operator-norm error of the compiled formula against exp(s [H_f, psi0]).
 
-    The exact exponential is subtracted in place from the product, which this
-    function owns, so the difference takes no N x N array of its own.
+    Each pulse and the exact exponential act on span{psi0, psi0_perp} as 2x2
+    matrices and on its complement as the identity, except that an oracle
+    pulse O(theta) multiplies the M - 1 other marked directions by e^{i theta}.
+    So the error is max(||U_2 - R_2||, |e^{i sum theta_O} - 1|), the second
+    term only for M >= 2: U_2 is the reduced pulse product, R_2 the rotation
+    by s sqrt(v0), and sum theta_O the schedule's total oracle angle (0 for
+    every compiled kind).  The work is O(pulses), whatever N is; the dense
+    product schedule_unitary - exact_commutator_exponential is the test oracle.
     """
-    s = float(s)
-    product = schedule_unitary(inst, compile_formula(kind, s, fragments))
-    product -= exact_commutator_exponential(inst, s)
-    return geometry.operator_norm(product)
+    # deferred: grover_engine imports this module
+    from .grover_engine import reduced_iterate_product
+
+    try:
+        s = float(s)
+    except (TypeError, ValueError):
+        raise DomainError(f"s must be a real number, got {s!r}") from None
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    inst.require_nondegenerate()
+    sched = compile_formula(kind, s, fragments)
+    product = sched.grover_phase * reduced_iterate_product(inst.e0, sched.grover_pairs())
+    theta = s * math.sqrt(inst.v0)
+    c, sn = math.cos(theta), math.sin(theta)
+    error = geometry.operator_norm(product - np.array([[c, -sn], [sn, c]]))
+    if inst.n_marked >= 2:
+        turn = sum(p.angle for p in sched.pulses if p.generator is Generator.ORACLE)
+        error = max(error, abs(np.exp(1j * turn) - 1.0))
+    return float(error)
 
 
 def measure_formula_error(inst, kind: FormulaKind, s_grid, fragments: int = 1):
-    """(s, operator-norm error) pairs of the compiled schedule vs the exact flow."""
-    inst.require_dense(512)
-    return [(float(s), formula_error(inst, kind, s, fragments)) for s in s_grid]
+    """(s, operator-norm error) pairs of the compiled schedule vs the exact flow.
+
+    Each error is formula_error's reduced value, so any instance up to
+    MAX_QUBITS is measured.
+    """
+    points = []
+    for s in s_grid:
+        error = formula_error(inst, kind, s, fragments)  # rejects a non-real s first
+        points.append((float(s), error))
+    return points
 
 
 def fit_order(points) -> float:
     """Least-squares slope of log(error) against log(s).
 
     Only points with finite s > 0 and a finite error above the 1e-14 noise
-    floor are kept; at least four must survive.
+    floor are kept; they must span at least four distinct s, since points at
+    one s leave the slope undetermined.
     """
     usable = [(s, e) for s, e in points
               if math.isfinite(s) and math.isfinite(e) and s > 0 and e > 1e-14]
-    if len(usable) < 4:
-        raise InsufficientData(f"need >= 4 usable points, have {len(usable)}")
+    distinct = len({s for s, _ in usable})
+    if distinct < 4:
+        raise InsufficientData(
+            f"need usable points at >= 4 distinct s, have {distinct}")
     ls = np.log([s for s, _ in usable])
     le = np.log([e for _, e in usable])
     a = np.vstack([ls, np.ones_like(ls)]).T

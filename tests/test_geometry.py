@@ -29,6 +29,7 @@ from grover_ite_lab.pf_compiler import (
     schedule_unitary,
 )
 from grover_ite_lab.search_core import (
+    MAX_QUBITS,
     SearchInstance,
     diffusion_matrix,
     embed_state,
@@ -243,12 +244,26 @@ def test_gci_error_matches_dense_pulse_product():
 
 @pytest.mark.parametrize("m", [1, 16, 32, 63])
 def test_measured_gci_error_equals_the_out_of_place_difference(m):
-    # the error is formed in place in the product's buffer; the value must not move
-    inst = SearchInstance(6, tuple(range(m)))
-    for s in (1e-3, 0.1, 1.0, math.pi ** 2):
-        product = schedule_unitary(inst, compile_formula(GroupCommutator(), s))
-        expected = operator_norm(product - exact_commutator_exponential(inst, s))
-        assert measured_gci_error(inst, s) == expected
+    # the reduced 2x2 value against the full SVD of the dense N x N difference;
+    # m is the marked count at n=6, one of 1, N/4, N/2, N-1, taken alike at
+    # every n from 3 to 9
+    for n in range(3, 10):
+        big_n = 1 << n
+        marked = {1: 1, 16: big_n // 4, 32: big_n // 2, 63: big_n - 1}[m]
+        inst = SearchInstance(n, tuple(range(marked)))
+        for s in (1e-3, 0.1, 1.0, math.pi ** 2):
+            product = schedule_unitary(inst, compile_formula(GroupCommutator(), s))
+            expected = _svd_norm(product - exact_commutator_exponential(inst, s))
+            assert measured_gci_error(inst, s) == pytest.approx(expected, abs=1e-13)
+
+
+def test_measured_gci_error_below_bound_at_max_qubits():
+    # no N x N operator is built, so the largest instance is measured too
+    big_n = 1 << MAX_QUBITS
+    for m in (1, big_n // 2, big_n - 1):
+        inst = SearchInstance(MAX_QUBITS, tuple(range(m)))
+        for s in (1e-3, 0.1, 1.0, math.pi ** 2):
+            assert measured_gci_error(inst, s) < gci_error_bound(inst, s)
 
 
 def test_operator_norm_leaves_its_input_unchanged():

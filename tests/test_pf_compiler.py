@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_ite_lab.errors import (
+    DegenerateInstance,
     DepthExceeded,
     DomainError,
     InsufficientData,
@@ -26,13 +28,18 @@ from grover_ite_lab.pf_compiler import (
     TwoCopies,
     compile_formula,
     fit_order,
+    formula_error,
     formula_order,
     measure_formula_error,
     schedule_unitary,
 )
-from grover_ite_lab.search_core import SearchInstance
+from grover_ite_lab.search_core import MAX_QUBITS, SearchInstance
 
 INST = SearchInstance(4, (3,))
+# the six formula kinds of the dense-operators benchmark workload
+KINDS = (GroupCommutator(), ThirdOrder(), TwoCopies(GroupCommutator()),
+         JeanKoseleff(GroupCommutator()), FiveCopies(GroupCommutator()),
+         JeanKoseleff(ThirdOrder()))
 
 pulse_lists = st.lists(
     st.tuples(st.sampled_from([Generator.ORACLE, Generator.DIFFUSION]), st.floats(-3, 3)),
@@ -186,16 +193,62 @@ def test_fragmentation_inequality():
 
 
 def test_measure_formula_error_equals_the_out_of_place_difference():
-    # each error is formed in place in the product's buffer; no value may move
-    inst = SearchInstance(6, (7, 21, 50))
-    grid = [0.01, 0.05, 0.2, 1.0]
-    for kind, frags in [(GroupCommutator(), 1), (ThirdOrder(), 1), (GroupCommutator(), 3)]:
-        expected = [
-            (s, operator_norm(schedule_unitary(inst, compile_formula(kind, s, frags))
-                              - exact_commutator_exponential(inst, s)))
-            for s in grid
-        ]
-        assert measure_formula_error(inst, kind, grid, fragments=frags) == expected
+    # the reduced 2x2 value against the full SVD of the dense N x N difference,
+    # over n = 3..9, M in {1, N/4, N/2, N-1}, every kind and 1 or 3 fragments;
+    # s cycles through the grid so each instance sees every duration
+    s_values = itertools.cycle([0.0, 1e-3, 0.1, 1.0, math.pi ** 2])
+    for n in range(3, 10):
+        big_n = 1 << n
+        for m in sorted({1, big_n // 4, big_n // 2, big_n - 1}):
+            inst = SearchInstance(n, tuple(range(m)))
+            for kind in KINDS:
+                for frags in (1, 3):
+                    s = next(s_values)
+                    dense = (schedule_unitary(inst, compile_formula(kind, s, frags))
+                             - exact_commutator_exponential(inst, s))
+                    [(_, error)] = measure_formula_error(inst, kind, [s], fragments=frags)
+                    assert error == pytest.approx(
+                        float(np.linalg.svd(dense, compute_uv=False)[0]), abs=1e-13)
+
+
+def test_compiled_oracle_angles_sum_to_zero():
+    # why the reduced error needs no complement term: e^{i sum theta_O} = 1
+    kinds = KINDS + (FiveCopies(ThirdOrder()), JeanKoseleff(JeanKoseleff(GroupCommutator())))
+    for kind in kinds:
+        for frags in (1, 3):
+            for s in (1e-3, 0.1, 1.0, math.pi ** 2):
+                sched = compile_formula(kind, s, frags)
+                turn = sum(p.angle for p in sched.pulses if p.generator is Generator.ORACLE)
+                assert abs(turn) <= 1e-14
+
+
+def test_group_commutator_order_at_max_qubits():
+    # the s^{3/2} term scales with sqrt(v0), as the bound does, so the slope
+    # shows 1.5 only for s well below v0: at M = 1 (v0 = 6.1e-5) the grid
+    # [1e-3, 1e-1] reads 1.76, and [1e-6, 1e-4] reads 1.50
+    big_n = 1 << MAX_QUBITS
+    for m, grid in [(1, np.logspace(-6, -4, 8)),
+                    (big_n // 2, np.logspace(-3, -1, 8)),
+                    (big_n - 1, np.logspace(-3, -1, 8))]:
+        inst = SearchInstance(MAX_QUBITS, tuple(range(m)))
+        points = measure_formula_error(inst, GroupCommutator(), grid)
+        assert abs(fit_order(points) - 1.5) <= 0.1
+
+
+def test_formula_error_rejects_bad_durations_and_degenerate_instances():
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="^s must be finite"):
+            formula_error(INST, GroupCommutator(), s)
+    for bad in ("a", None, 1j):
+        with pytest.raises(DomainError, match="^s must be a real number"):
+            measure_formula_error(INST, GroupCommutator(), [bad])
+    with pytest.raises(NegativeDuration):
+        formula_error(INST, GroupCommutator(), -0.5)
+    for marked in ((), tuple(range(16))):
+        with pytest.raises(DegenerateInstance):
+            formula_error(SearchInstance(4, marked), ThirdOrder(), 0.1)
+        with pytest.raises(DegenerateInstance):
+            measure_formula_error(SearchInstance(4, marked), GroupCommutator(), [0.1])
 
 
 def test_fit_order_synthetic():
@@ -204,6 +257,16 @@ def test_fit_order_synthetic():
     assert fit_order([(s, 3 * s ** 2) for s in ss]) == pytest.approx(2.0, abs=1e-6)
     with pytest.raises(InsufficientData):
         fit_order([(0.1, 1e-20), (0.2, 1e-20), (0.3, 1e-16), (0.4, 1e-15)])
+
+
+def test_fit_order_needs_four_distinct_durations():
+    # repeated points at one s leave the slope undetermined
+    with pytest.raises(InsufficientData):
+        fit_order([(0.1, 1e-3)] * 4)
+    ss = [0.01, 0.02, 0.04]
+    with pytest.raises(InsufficientData):
+        fit_order([(s, s ** 1.5) for s in ss + ss])
+    assert fit_order([(s, s ** 1.5) for s in ss + [0.08, 0.08]]) == pytest.approx(1.5, abs=1e-6)
 
 
 def test_fit_order_drops_non_finite_points():
