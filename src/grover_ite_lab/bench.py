@@ -68,7 +68,8 @@ FIT_ALGO = "least-squares-v1"
 
 
 def _number(value, kind):
-    if isinstance(value, (str, bytes)):  # float("0.5") would pass a quoted number
+    # float("0.5") would pass a quoted number, and True is the integer 1
+    if isinstance(value, (str, bytes, bool)):
         raise TypeError(f"expected a number, got {value!r}")
     return operator.index(value) if kind is int else float(value)
 
@@ -176,15 +177,16 @@ def _cache_key(payload: dict) -> str:
 def _cached_phases(payload: dict, compute) -> QspPhases:
     """Cached phase list, or a fresh fit written atomically into the cache.
 
-    An entry that does not parse (say, one cut short by a crash) is refitted
-    and overwritten.  Entries are readable by all (mode 0644), so a cache
+    An entry that does not parse (say, one cut short by a crash) or that
+    QspPhases rejects (no phases, a non-finite phase) is refitted and
+    overwritten.  Entries are readable by all (mode 0644), so a cache
     directory can be shared between users.
     """
     path = cache_dir() / f"{_cache_key(payload)}.json"
     if path.exists():
         try:
             return QspPhases.from_json(path.read_text())
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, DomainError):
             pass
     phases = compute()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp")
@@ -401,7 +403,7 @@ def check_fig_a(config: ExperimentConfig, rows) -> tuple[bool, str]:
     for s in sorted(config.s_values):
         infs = np.array([inf for ss, _, _, inf in rows if ss == s])
         med, p95 = float(np.median(infs)), float(np.quantile(infs, 0.95))
-        if med > 1e-2 or p95 > 2e-2:
+        if not (med <= 1e-2 and p95 <= 2e-2):  # a NaN fails
             problems.append(f"s={s}: median={med:.3e} p95={p95:.3e}")
     return (not problems, "; ".join(problems) or "fig-a thresholds met")
 
@@ -410,8 +412,8 @@ def check_fig_b(config: ExperimentConfig, rows) -> tuple[bool, str]:
     problems = []
     for s in sorted(config.s_values):
         means = [mean for _, ss, mean in rows if ss == s]
-        lo, hi = min(means), max(means)
-        if hi - lo > 10.0 * lo:
+        lo, hi = float(np.min(means)), float(np.max(means))  # a NaN propagates
+        if not hi - lo <= 10.0 * lo:
             problems.append(f"s={s}: spread {hi - lo:.3e} > 10x min {lo:.3e}")
     return (not problems, "; ".join(problems) or "fig-b spread within 10x of min")
 

@@ -304,9 +304,9 @@ def check(poly_path, k):
     """Report the five sequence-realizability verdicts for a polynomial."""
     try:
         poly = ChebyshevPoly.from_json(Path(poly_path).read_text())
+        report = check_achievability(poly, k)
     except (GroverIteError, ValueError, KeyError) as exc:
         _fail(2, str(exc))
-    report = check_achievability(poly, k)
     for v in report.verdicts:
         witness = "-" if math.isnan(v.witness_x) else f"{v.witness_x:.6g}"
         click.echo(

@@ -10,12 +10,6 @@ The measured counterpart works on the invariant plane span{psi0, psi0_perp}:
 every pulse and the exact exponential act there as 2x2 matrices and outside it
 as the identity or a scalar phase, so pf_compiler.formula_error takes the
 norm of a 2x2 difference and equals the dense N x N value at O(1) cost in N.
-
-operator_norm still serves dense input.  A difference of the full N x N
-operators is numerically rank 2, so it takes the largest singular value of a
-fixed-seed rank-8 randomized sketch (Halko, Martinsson & Tropp, SIAM Rev.
-53:217, 2011) in O(N^2) work.  The sketch's residual certifies the answer; a
-full SVD runs whenever it does not.
 """
 
 from __future__ import annotations
@@ -44,12 +38,6 @@ from .search_core import diffusion_matrix, oracle_matrix  # noqa: F401
 # Explicit constant of the sufficient query count: (2 sqrt(2) pi)^2 = 8 pi^2.
 # Sufficient, not tight; surfaced so callers can see the proof constant.
 QUERY_BOUND_CONSTANT = 8.0 * math.pi ** 2
-
-# operator_norm's sketch: Gaussian test matrix width and seed, and the
-# relative gap between the certified lower and upper bounds it accepts.
-_SKETCH_WIDTH = 8
-_SKETCH_SEED = 2011
-_SKETCH_RTOL = 1e-6
 
 
 def fs_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -121,15 +109,10 @@ def query_bound(epsilon: float, d_fs: float) -> int:
     return int(math.ceil(QUERY_BOUND_CONSTANT / epsilon ** 2 / abs(math.pi / 2 - d_fs)))
 
 
-def _require_duration(s: float):
-    if not (math.isfinite(s) and s >= 0):
-        raise DomainError(f"s must be finite and nonnegative, got {s!r}")
-
-
 def gci_error_bound(inst: SearchInstance, s: float) -> float:
     """Operator-norm bound s^{3/2} * 2 * sqrt(2 v0) on the 4-pulse error."""
     inst.require_nondegenerate()
-    _require_duration(s)
+    pf_compiler.require_duration(s)
     return float(s ** 1.5 * 2.0 * math.sqrt(2.0 * inst.v0))
 
 
@@ -141,39 +124,12 @@ def measured_gci_error(inst: SearchInstance, s: float) -> float:
     the dense norm for every instance up to MAX_QUBITS.
     """
     inst.require_nondegenerate()
-    _require_duration(s)
+    pf_compiler.require_duration(s)
     return pf_compiler.formula_error(inst, pf_compiler.GroupCommutator(), s)
 
 
-def _sketched_norm(op: np.ndarray) -> float | None:
-    """Largest singular value of a rank-8 sketch of op, or None if uncertified.
-
-    With Q = qr(op @ Omega) for a fixed complex Gaussian Omega and B = Q^H op,
-    sigma = ||B||_2 and rho = ||op - Q B||_F bound the norm on both sides:
-    sigma <= ||op||_2 <= sqrt(sigma^2 + rho^2).  sigma is returned when the
-    two bounds agree to _SKETCH_RTOL relative.
-    """
-    rng = np.random.default_rng(_SKETCH_SEED)
-    shape = (op.shape[1], _SKETCH_WIDTH)
-    omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, _ = np.linalg.qr(op @ omega)
-    b = q.conj().T @ op
-    sigma = float(np.linalg.svd(b, compute_uv=False)[0])
-    residual = q @ b
-    rho = float(np.linalg.norm(np.subtract(op, residual, out=residual)))
-    if math.hypot(sigma, rho) - sigma <= _SKETCH_RTOL * sigma:
-        return sigma
-    return None
-
-
 def operator_norm(op: np.ndarray) -> float:
-    """Largest singular value of a finite, non-empty 2-D array.
-
-    Matrices wider than the sketch try _sketched_norm first: O(N^2) work, and
-    within a relative 1e-6 of the true norm by its own certificate.  Input of
-    rank above the sketch width fails the certificate and gets the full SVD,
-    as does any matrix no wider than the sketch.
-    """
+    """Largest singular value of a finite, non-empty 2-D array, from its SVD."""
     op = np.asarray(op)
     if op.ndim != 2 or op.size == 0:
         raise DomainError(f"operator must be a non-empty 2-D array, got shape {op.shape}")
@@ -181,10 +137,6 @@ def operator_norm(op: np.ndarray) -> float:
         raise DimensionTooLarge(f"operator of shape {op.shape} exceeds dense limit")
     if not np.isfinite(op).all():
         raise NumericalDomain("operator has non-finite entries")
-    if min(op.shape) > _SKETCH_WIDTH:
-        sigma = _sketched_norm(op)
-        if sigma is not None:
-            return sigma
     return float(np.linalg.svd(op, compute_uv=False)[0])
 
 

@@ -237,6 +237,12 @@ def require_count(name: str, value) -> None:
         raise DomainError(f"{name} must be >= 1")
 
 
+def require_duration(s) -> None:
+    """DomainError unless s is a real number, finite and >= 0 (a flow duration)."""
+    if not (isinstance(s, numbers.Real) and math.isfinite(s) and s >= 0):
+        raise DomainError(f"s must be a finite nonnegative real number, got {s!r}")
+
+
 def compile_formula(kind: FormulaKind, s: float, fragments: int = 1) -> AngleSchedule:
     """Schedule approximating exp(s [H_f, P0]) as `fragments` copies at s/fragments."""
     if s < 0:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence, Union
@@ -55,7 +56,7 @@ from .errors import (
     OptimizerDiverged,
 )
 from .pf_compiler import (AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula,
-                          fixed_point_angles, require_count)
+                          fixed_point_angles, require_count, require_duration)
 
 # ---------------------------------------------------------------------------
 # Phase lists and sequence evaluation
@@ -71,7 +72,10 @@ class QspPhases:
             raise DomainError(f"convention must be 'R' or 'W', got {self.convention!r}")
         if len(self.phases) < 1:
             raise DomainError("need at least phi_0")
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        phases = tuple(float(p) for p in self.phases)
+        if not all(math.isfinite(p) for p in phases):
+            raise DomainError(f"phases must be finite, got {phases!r}")
+        object.__setattr__(self, "phases", phases)
 
     @property
     def k(self) -> int:
@@ -277,13 +281,20 @@ def _critical_points(poly: ChebyshevPoly) -> np.ndarray:
     return real * poly.halfwidth
 
 
-def check_achievability(poly: ChebyshevPoly, k: int, tol: float = 1e-6) -> AchievabilityReport:
+# Slack of every achievability condition: a coefficient or bound may miss by this much.
+CONDITION_TOL = 1e-6
+
+
+def check_achievability(poly: ChebyshevPoly, k: int) -> AchievabilityReport:
     """Verdicts for the five sequence-realizability conditions of a degree-K slot.
 
     Bound conditions are evaluated at the polynomial's exact critical points
     (roots of the derivative) plus dense-grid backstops, each with tolerance
-    ``tol``; the report records the worst point and its margin either way.
+    CONDITION_TOL; the report records the worst point and its margin either
+    way.  K must be an integer >= 0.
     """
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise DomainError(f"k must be an integer >= 0, got {k!r}")
     verdicts = []
 
     deg = poly.degree
@@ -296,7 +307,8 @@ def check_achievability(poly: ChebyshevPoly, k: int, tol: float = 1e-6) -> Achie
     wrong = coeffs[1::2] if want == "even" else coeffs[0::2]
     wrong_mag = float(np.abs(wrong).max()) if wrong.size else 0.0
     verdicts.append(
-        ConditionVerdict(f"parity == K mod 2 ({want})", wrong_mag <= tol, math.nan, -wrong_mag)
+        ConditionVerdict(f"parity == K mod 2 ({want})", wrong_mag <= CONDITION_TOL, math.nan,
+                         -wrong_mag)
     )
 
     crit = _critical_points(poly)
@@ -305,7 +317,8 @@ def check_achievability(poly: ChebyshevPoly, k: int, tol: float = 1e-6) -> Achie
     i = int(np.argmax(vals))
     verdicts.append(
         ConditionVerdict(
-            "|p| <= 1 on [-1,1]", vals[i] <= 1.0 + tol, float(inside[i]), float(1.0 - vals[i])
+            "|p| <= 1 on [-1,1]", vals[i] <= 1.0 + CONDITION_TOL, float(inside[i]),
+            float(1.0 - vals[i])
         )
     )
 
@@ -318,7 +331,8 @@ def check_achievability(poly: ChebyshevPoly, k: int, tol: float = 1e-6) -> Achie
     j = int(np.argmin(ovals))
     verdicts.append(
         ConditionVerdict(
-            "|p| >= 1 off [-1,1]", ovals[j] >= 1.0 - tol, float(outside[j]), float(ovals[j] - 1.0)
+            "|p| >= 1 off [-1,1]", ovals[j] >= 1.0 - CONDITION_TOL, float(outside[j]),
+            float(ovals[j] - 1.0)
         )
     )
 
@@ -340,7 +354,7 @@ def check_achievability(poly: ChebyshevPoly, k: int, tol: float = 1e-6) -> Achie
             fmin, tmin = float(f[jm]), float(ts[jm])
         verdicts.append(
             ConditionVerdict(
-                "|p(ix) p*(ix)| >= 1", fmin >= 1.0 - tol, tmin, float(fmin - 1.0)
+                "|p(ix) p*(ix)| >= 1", fmin >= 1.0 - CONDITION_TOL, tmin, float(fmin - 1.0)
             )
         )
     else:
@@ -371,8 +385,7 @@ def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
     if not 0.0 < eps < 1.0 / math.e:
         raise DomainError(f"eps must be in (0, 1/e), got {eps!r}")
-    if not 0.0 <= s < math.inf:
-        raise DomainError(f"s must be finite and nonnegative, got {s!r}")
+    require_duration(s)
     from scipy.special import jv
 
     ref = np.cos(s * _GRID) if kind == "cos" else np.sin(s * _GRID)
@@ -417,8 +430,7 @@ def target_ite_component(s: float, eps: float) -> ChebyshevPoly:
     coefficients (roundoff) are cleared, and it is trimmed to the smallest even
     degree that still meets eps, the way _sign_series treats erf.
     """
-    if not 0.0 <= s < math.inf:
-        raise DomainError(f"s must be finite and nonnegative, got {s!r}")
+    require_duration(s)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must be in (0, 1), got {eps!r}")
     target = lambda x: np.cos(s * x * np.sqrt(1.0 - x ** 2))
@@ -758,7 +770,7 @@ def chebyshev_nodes(n_d: int) -> np.ndarray:
 
 
 def fit_points(k: int) -> int:
-    """Signal points of a k-angle flow or sign fit: max(50, k + 1), so n_d > k."""
+    """Signal points of every k-angle fit: max(50, k + 1), so n_d > k."""
     return max(50, k + 1)
 
 
@@ -767,6 +779,11 @@ def flow_state(s: float, xs: np.ndarray) -> np.ndarray:
     theta = float(s) * xs * np.sqrt(1.0 - xs ** 2)
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
+
+# Penalty weights of the polynomial fits: LAMBDA1 on Im p (fit_phases and the
+# sign fit), LAMBDA2 on the relative phase arg(p q*) (fit_phases' polish).
+LAMBDA1 = 0.01
+LAMBDA2 = 0.1
 
 # A restart improves on the best cost only if it lowers it by more than this
 # share; restarts that land in the same minimum again count toward the stall limit.
@@ -818,12 +835,6 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     return best_a, best_cost
 
 
-def _check_k(k: int, n_d: int | None = None):
-    require_count("k", k)
-    if n_d is not None and n_d < k:
-        raise DomainError(f"need n_d >= k, got n_d={n_d} < k={k}")
-
-
 def _check_restarts(restarts: int):
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts!r}")
@@ -832,25 +843,22 @@ def _check_restarts(restarts: int):
 def fit_phases(
     target: TargetLike,
     k: int,
-    lambda1: float = 0.01,
-    lambda2: float = 0.1,
-    n_d: int = 50,
     seed: int = 0,
     restarts: int = 8,
 ) -> tuple[QspPhases, float]:
     """Fit K sequence phases to a target polynomial on x in [0, 1].
 
-    Seeded multi-start least squares on n_d uniform points: each start runs an
-    exploration solve without the relative-phase term, then polishes on the
-    full cost; the winner is chosen by (cost, restart index).  Deterministic
-    for fixed seed.
+    Seeded multi-start least squares on fit_points(k) uniform points: each
+    start runs an exploration solve with the LAMBDA1 imaginary-part penalty
+    alone, then polishes with the LAMBDA2 relative-phase term added; the
+    winner is chosen by (cost, restart index).  Deterministic for fixed seed.
     """
-    _check_k(k, n_d)
+    require_count("k", k)
     _check_restarts(restarts)
-    xs = np.linspace(0.0, 1.0, n_d)
+    xs = np.linspace(0.0, 1.0, fit_points(k))
     tv = np.asarray(target(xs), dtype=float)
-    full = fit_residuals(xs, tv, lambda1, lambda2)
-    explore = fit_residuals(xs, tv, lambda1)
+    full = fit_residuals(xs, tv, LAMBDA1, LAMBDA2)
+    explore = fit_residuals(xs, tv, LAMBDA1)
     best_a, best_cost = _multistart(((explore, full), (full,)), 1e-10, k, seed, restarts,
                                     spread=0.5)
     return dr_angles_to_phases(best_a), best_cost
@@ -898,9 +906,8 @@ def fit_ite_phases(
     three restarts in a row that did not lower the best cost by more than the
     relative STALL_MARGIN, or after ``restarts`` restarts.
     """
-    if not 0.0 <= s < math.inf:
-        raise DomainError(f"s must be finite and nonnegative, got {s!r}")
-    _check_k(k)
+    require_duration(s)
+    require_count("k", k)
     _check_restarts(restarts)
     xs = chebyshev_nodes(fit_points(k))
     flow = fit_residuals(xs, state=flow_state(s, xs))
@@ -941,7 +948,7 @@ def fixed_point_via_sign(
 
     xs = np.linspace(0.0, 1.0, fit_points(k))
     tv = _cheb.chebval(xs, final_coeffs)
-    sign = fit_residuals(xs, tv, 0.01)
+    sign = fit_residuals(xs, tv, LAMBDA1)
     quasi_chebyshev = fixed_point_angles(iterations, math.sqrt(2.0 * delta_cap))
     start = phases_to_dr_angles(grover_to_qsp(quasi_chebyshev))[:k]
     best_a, _ = _multistart(((sign,),), 2e-6, k, seed, restarts, spread=0.4, stall_limit=3,

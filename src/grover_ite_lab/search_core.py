@@ -63,9 +63,9 @@ class SearchInstance:
                 f"need 1 <= M <= N-1, got M={self.n_marked}, N={self.n_states}"
             )
 
-    def require_dense(self, limit: int = DENSE_MAX_DIM):
-        if self.n_states > limit:
-            raise DimensionTooLarge(f"N={self.n_states} exceeds dense limit {limit}")
+    def require_dense(self):
+        if self.n_states > DENSE_MAX_DIM:
+            raise DimensionTooLarge(f"N={self.n_states} exceeds dense limit {DENSE_MAX_DIM}")
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,31 @@ def test_truncated_cache_entry_is_refitted():
     assert list(Path(bench.cache_dir()).iterdir()) == [entry]  # no temporary file left
 
 
+@pytest.mark.parametrize("text", [
+    '{"convention": "R", "phases": [NaN, 0.1, 0.2, 0.3, 0.4]}',
+    '{"convention": "R", "phases": []}',
+    '{"convention": "R", "phases": null}',
+], ids=["nan-phase", "no-phases", "null-phases"])
+def test_rejected_cache_entry_is_refitted(text):
+    first = bench.fitted_ite_phases(0.5, 2, seed=3)
+    (entry,) = Path(bench.cache_dir()).glob("*.json")
+    entry.write_text(text)
+    assert bench.fitted_ite_phases(0.5, 2, seed=3) == first
+    assert QspPhases.from_json(entry.read_text()) == first
+
+
+def test_nan_rows_fail_the_figure_checks():
+    nan = float("nan")
+    cfg_a = ExperimentConfig.for_experiment("fig-a", s_values=(0.5,))
+    rows_a = [(0.5, 1, 0.25, 1e-6), (0.5, 2, 0.5, nan), (0.5, 3, 0.75, 1e-6)]
+    assert not bench.check_fig_a(cfg_a, rows_a)[0]
+    assert bench.check_fig_a(cfg_a, [r for r in rows_a if r[1] != 2])[0]
+    cfg_b = ExperimentConfig.for_experiment("fig-b", s_values=(1.0,))
+    for rows_b in ([(4, 1.0, 1e-6), (6, 1.0, nan)], [(4, 1.0, nan), (6, 1.0, 1e-6)]):
+        assert not bench.check_fig_b(cfg_b, rows_b)[0]
+    assert bench.check_fig_b(cfg_b, [(4, 1.0, 1e-6), (6, 1.0, 2e-6)])[0]
+
+
 def test_config_hash_ignores_output_path():
     a = ExperimentConfig.for_experiment("fig-a", out="a.csv")
     b = ExperimentConfig.for_experiment("fig-a", out="b.csv")
@@ -334,6 +359,14 @@ def test_cli_qsp_fit_map_check(tmp_path):
     assert res6.exit_code == 2
 
 
+def test_cli_qsp_check_negative_k_exits_2(tmp_path):
+    poly_path = tmp_path / "p.json"
+    poly_path.write_text(ChebyshevPoly((0.0, 1.0), "odd").to_json())
+    res = CliRunner().invoke(main, ["qsp", "check", "--poly", str(poly_path), "--k", "-2"])
+    _assert_exit_2(res)
+    assert "k must be an integer >= 0" in res.output
+
+
 @pytest.mark.parametrize("target, form", [
     ("ite-cos:x=1", "ite-cos target needs s=<float>"),
     ("ite-cos:s", "ite-cos target needs s=<float>"),
@@ -409,6 +442,8 @@ def test_cli_empty_n_qubits_exits_2(tmp_path):
     json.dumps([4, 2]),
     json.dumps({"n_qubits": 8}),
     json.dumps({"s_values": ["x"]}),
+    json.dumps({"iterations": True}),
+    json.dumps({"s_values": [True]}),
 ])
 def test_cli_malformed_json_config_exits_2(tmp_path, text):
     cfg_path = tmp_path / "cfg.json"

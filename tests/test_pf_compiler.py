@@ -15,7 +15,7 @@ from grover_ite_lab.errors import (
     NegativeDuration,
     NonAlternatingSchedule,
 )
-from grover_ite_lab.geometry import gci_error_bound, operator_norm
+from grover_ite_lab.geometry import gci_error_bound, measured_gci_error, operator_norm
 from grover_ite_lab.ite_flow import exact_commutator_exponential
 from grover_ite_lab.pf_compiler import (
     AngleSchedule,
@@ -31,8 +31,10 @@ from grover_ite_lab.pf_compiler import (
     formula_error,
     formula_order,
     measure_formula_error,
+    require_duration,
     schedule_unitary,
 )
+from grover_ite_lab.qsp_engine import fit_ite_phases, jacobi_anger, target_ite_component
 from grover_ite_lab.search_core import MAX_QUBITS, SearchInstance
 
 INST = SearchInstance(4, (3,))
@@ -233,6 +235,23 @@ def test_group_commutator_order_at_max_qubits():
         inst = SearchInstance(MAX_QUBITS, tuple(range(m)))
         points = measure_formula_error(inst, GroupCommutator(), grid)
         assert abs(fit_order(points) - 1.5) <= 0.1
+
+
+DURATION_ENTRY_POINTS = {
+    "require_duration": require_duration,
+    "jacobi_anger": lambda s: jacobi_anger("cos", s, 1e-3),
+    "target_ite_component": lambda s: target_ite_component(s, 1e-3),
+    "fit_ite_phases": lambda s: fit_ite_phases(s, 8),
+    "gci_error_bound": lambda s: gci_error_bound(INST, s),
+    "measured_gci_error": lambda s: measured_gci_error(INST, s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DURATION_ENTRY_POINTS))
+@pytest.mark.parametrize("s", [1j, "1", math.nan, math.inf, -1.0], ids=repr)
+def test_durations_must_be_finite_nonnegative_reals(entry, s):
+    with pytest.raises(DomainError, match="s must be a finite nonnegative real number"):
+        DURATION_ENTRY_POINTS[entry](s)
 
 
 def test_formula_error_rejects_bad_durations_and_degenerate_instances():

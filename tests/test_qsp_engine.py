@@ -156,6 +156,16 @@ def test_achievability_catches_violations():
     assert not rep2.verdicts[1].satisfied
 
 
+@pytest.mark.parametrize("k", [-2, -1, 1.5, "2"])
+def test_achievability_rejects_k_below_zero_or_not_integer(k):
+    with pytest.raises(DomainError, match="k must be an integer >= 0"):
+        check_achievability(ChebyshevPoly((0.0, 1.0), "odd"), k)
+
+
+def test_achievability_accepts_k_zero():
+    assert check_achievability(ChebyshevPoly((1.0,), "even"), 0).all_pass
+
+
 def test_achievability_ite_target():
     poly = target_ite_component(1.0, 1e-8)
     rep = check_achievability(poly, poly.degree)
@@ -372,8 +382,27 @@ def test_fit_phases_deterministic():
 def test_fit_phases_validation():
     with pytest.raises(DomainError):
         fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 0)
+
+
+def test_fit_phases_beyond_fifty_angles(monkeypatch):
+    """A K = 51 polynomial fit runs on fit_points(51) = 52 uniform points, the
+    rule every fit follows; with a fixed 50-point grid it once raised."""
+    sizes, residuals = [], qsp_engine.fit_residuals
+
+    def recorded(xs, *args, **kwargs):
+        sizes.append(len(xs))
+        return residuals(xs, *args, **kwargs)
+
+    monkeypatch.setattr(qsp_engine, "fit_residuals", recorded)
+    phases, cost = fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 51, restarts=2)
+    assert set(sizes) == {fit_points(51)} == {52}
+    assert phases.k == 51 and cost < 1e-10
+
+
+@pytest.mark.parametrize("phases", [(float("nan"), 0.1), (0.1, float("inf")), ()])
+def test_phase_list_rejects_non_finite_or_empty_phases(phases):
     with pytest.raises(DomainError):
-        fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 8, n_d=4)
+        QspPhases(phases)
 
 
 def test_fit_ite_phases_unit_duration():
@@ -608,7 +637,5 @@ def test_poly_json_roundtrip():
 def test_fit_phases_default_penalties():
     import inspect
 
-    sig = inspect.signature(fit_phases)
-    assert sig.parameters["lambda1"].default == 0.01
-    assert sig.parameters["lambda2"].default == 0.1
-    assert sig.parameters["n_d"].default == 50
+    assert (qsp_engine.LAMBDA1, qsp_engine.LAMBDA2) == (0.01, 0.1)
+    assert list(inspect.signature(fit_phases).parameters) == ["target", "k", "seed", "restarts"]
