@@ -12,7 +12,8 @@ Floats are written with ``repr``, which round-trips exactly, so equal files
 mean bit-for-bit equal fits.  Compare runs made in the same environment: a
 different numpy/scipy/BLAS build or thread count may move the last digits.
 Each probe's time, least-squares solves and residual evaluations go to
-standard error.  The probe set takes about 1.5 s on a 2-CPU x86-64 host.
+standard error.  The probe set takes about 1.4 s on a 2-vCPU x86-64 host,
+most of it the first scipy import and the N=6 sign fit.
 """
 
 import argparse

@@ -238,8 +238,8 @@ def require_count(name: str, value) -> None:
 
 
 def require_duration(s) -> None:
-    """DomainError unless s is a real number, finite and >= 0 (a flow duration)."""
-    if not (isinstance(s, numbers.Real) and math.isfinite(s) and s >= 0):
+    """DomainError unless s is a real number, not a bool, finite and >= 0 (a flow duration)."""
+    if isinstance(s, bool) or not (isinstance(s, numbers.Real) and math.isfinite(s) and s >= 0):
         raise DomainError(f"s must be a finite nonnegative real number, got {s!r}")
 
 
@@ -318,10 +318,9 @@ def formula_error(inst, kind: FormulaKind, s: float, fragments: int = 1) -> floa
     # deferred: grover_engine imports this module
     from .grover_engine import reduced_iterate_product
 
-    try:
-        s = float(s)
-    except (TypeError, ValueError):
-        raise DomainError(f"s must be a real number, got {s!r}") from None
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise DomainError(f"s must be a real number, got {s!r}")
+    s = float(s)
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s!r}")
     inst.require_nondegenerate()

@@ -209,11 +209,13 @@ class ChebyshevPoly:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             coeffs = (0.0,)
+        if not all(math.isfinite(c) for c in coeffs):
+            raise DomainError(f"coefficients must be finite, got {coeffs!r}")
         object.__setattr__(self, "coeffs", coeffs)
         if self.parity not in ("even", "odd", "none"):
             raise DomainError(f"parity must be even/odd/none, got {self.parity!r}")
-        if self.halfwidth <= 0:
-            raise DomainError("halfwidth must be positive")
+        if not (math.isfinite(self.halfwidth) and self.halfwidth > 0):
+            raise DomainError(f"halfwidth must be finite and positive, got {self.halfwidth!r}")
         if self.parity == "even" and any(c != 0.0 for c in coeffs[1::2]):
             raise DomainError("declared even parity but odd coefficients present")
         if self.parity == "odd" and any(c != 0.0 for c in coeffs[0::2]):
@@ -797,9 +799,11 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     A chain is a tuple of problems, (residuals, jacobian) pairs from
     fit_residuals, each solved by _lsq_solve in turn from the previous solve's
     point, and every chain of a restart starts from the same point.
-    Restart 0 starts from the small random point 0.01 N(0, 1), a given
-    ``start`` is restart 1, and later restarts perturb ``start`` (zeros
-    without one) by N(0, spread).
+    Restart 0 starts from ``start`` when one is given (a fit's closed-form
+    schedule), else from the small random point 0.01 N(0, 1).  Later restarts
+    perturb ``start`` (zeros without one) by N(0, spread).  Restart 0 draws
+    its random point either way, so restart r >= 1 draws the same
+    perturbation with or without a start.
 
     The goal is the stop rule.  The last solve of a chain, whose cost is the
     one compared with the goal, ends at its first evaluated point below the
@@ -815,8 +819,10 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     for r in range(restarts):
         if r == 0:
             x0 = 0.01 * rng.normal(size=k)
+            if start is not None:
+                x0 = start
         else:
-            x0 = start if r == 1 and start is not None else centre + rng.normal(0.0, spread, k)
+            x0 = centre + rng.normal(0.0, spread, k)
         before = best_cost
         for *lead, last in chains:
             x = x0
@@ -893,12 +899,11 @@ def fit_ite_phases(
     nodes of chebyshev_nodes.  The cost is the figures' own metric, the mean
     infidelity 1 - |<(cos theta, sin theta)|(p, q)>|^2 (the ``state`` term of
     fit_residuals), and each restart is one least-squares solve of it with
-    goal cost 1e-10.  There are three kinds of start (see
-    _multistart).  Restart 0 is the small random point 0.01 N(0, 1) drawn from
-    ``seed``, restart 1 the product formula of _formula_start, and later
-    restarts perturb the formula by N(0, 0.4), also drawn from ``seed``.  So
-    ``restarts=1`` never tries the formula, and ``seed`` steers restart 0 and
-    the perturbations.
+    goal cost 1e-10.  Restart 0 starts from the product formula of
+    _formula_start, the paper's closed-form approximation of the flow, and
+    later restarts perturb the formula by N(0, 0.4), drawn from ``seed`` (see
+    _multistart).  So ``restarts=1`` tries the formula alone, and ``seed``
+    steers only the perturbations.
 
     The goal is the stop rule: a solve ends at its first evaluated point below
     it, and no further restart runs.  A fit that reaches the goal thus returns
@@ -932,8 +937,9 @@ def fixed_point_via_sign(
     range.  The final success probability equals |<0|W|0>|^2 exactly, so the
     fit cost drops the relative-phase term and keeps the imaginary-part
     penalty.  The fit is one goal-2e-6 multi-start (see _multistart) whose
-    restart 1 is the first 2N-1 D-X angles of the quasi-Chebyshev fixed-point
-    schedule (fixed_point_angles at delta^2 = 2 delta_cap).
+    restart 0 is the first 2N-1 D-X angles of the quasi-Chebyshev fixed-point
+    schedule (fixed_point_angles at delta^2 = 2 delta_cap); later restarts
+    perturb it by N(0, 0.4), drawn from ``seed``.
     """
     require_count("iterations", iterations)
     if not 0.0 < eta < 1.0 or not 0.0 < delta_cap < 0.5:

@@ -55,8 +55,9 @@ def test_cold_refit_matches_committed_entry(committed_cache):
     """fig-a's first fit (s=0.5, K=32, seed 0), refitted, against its cache entry.
 
     On the 2-CPU x86-64 host that filled the cache (numpy 2.4.6, scipy 1.17.1)
-    the refit is bit for bit the same and takes about 0.07 s; other
-    numpy/scipy/BLAS builds may move the last digits, hence the tolerance.
+    the refit is bit for bit the same and takes about 0.01 s, one solve from
+    the product formula; other numpy/scipy/BLAS builds may move the last
+    digits, hence the tolerance.
     """
     config = bench.ExperimentConfig.for_experiment("fig-a")
     s = min(config.s_values)

@@ -248,7 +248,7 @@ DURATION_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(DURATION_ENTRY_POINTS))
-@pytest.mark.parametrize("s", [1j, "1", math.nan, math.inf, -1.0], ids=repr)
+@pytest.mark.parametrize("s", [1j, "1", True, math.nan, math.inf, -1.0], ids=repr)
 def test_durations_must_be_finite_nonnegative_reals(entry, s):
     with pytest.raises(DomainError, match="s must be a finite nonnegative real number"):
         DURATION_ENTRY_POINTS[entry](s)
@@ -268,6 +268,15 @@ def test_formula_error_rejects_bad_durations_and_degenerate_instances():
             formula_error(SearchInstance(4, marked), ThirdOrder(), 0.1)
         with pytest.raises(DegenerateInstance):
             measure_formula_error(SearchInstance(4, marked), GroupCommutator(), [0.1])
+
+
+@pytest.mark.parametrize("s", ["0.1", True, False], ids=repr)
+def test_formula_error_rejects_numeric_strings_and_booleans(s):
+    """float() would take these: '0.1' as 0.1 and True as a duration of 1."""
+    with pytest.raises(DomainError, match="^s must be a real number"):
+        formula_error(INST, GroupCommutator(), s)
+    with pytest.raises(DomainError, match="^s must be a real number"):
+        measure_formula_error(INST, GroupCommutator(), [0.1, s])
 
 
 def test_fit_order_synthetic():

@@ -405,6 +405,23 @@ def test_phase_list_rejects_non_finite_or_empty_phases(phases):
         QspPhases(phases)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda poly: fit_phases(poly(), 1),
+    lambda poly: check_achievability(poly(), 1),
+], ids=["fit_phases", "check_achievability"])
+@pytest.mark.parametrize("coeffs, halfwidth", [
+    ((math.nan, 1.0), 1.0), ((0.0, -math.inf), 1.0), ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf),
+], ids=["nan-coeff", "inf-coeff", "nan-halfwidth", "inf-halfwidth"])
+def test_polynomial_entry_points_reject_non_finite_polynomials(entry, coeffs, halfwidth):
+    """A typed DomainError, from the constructor and from JSON, before fit_phases
+    reaches scipy or check_achievability writes a report."""
+    with pytest.raises(DomainError, match="finite"):
+        entry(lambda: ChebyshevPoly(coeffs, "none", halfwidth))
+    payload = {"basis": "chebyshev-T", "coeffs": list(coeffs), "halfwidth": halfwidth}
+    with pytest.raises(DomainError, match="finite"):
+        entry(lambda: ChebyshevPoly.from_json(json.dumps(payload)))
+
+
 def test_fit_ite_phases_unit_duration():
     phases, cost = fit_ite_phases(1.0, 32, seed=7)
     assert cost < 1e-4
@@ -435,16 +452,17 @@ def test_fixed_point_via_sign_structure():
 # again when its cost became the mean flow infidelity alone.  All three were
 # recorded again when every solve became least squares on the residuals and
 # the flow fit moved to Chebyshev nodes, so the flow cost is now the mean
-# infidelity on those nodes.
+# infidelity on those nodes.  The flow phases (which moved by 3.1e-7) and the
+# sign pairs were recorded again when restart 0 became the closed-form start.
 PINNED_FIT_PHASES = (0.7075302558084524, 9.83633833904034e-09, 0.7075302459721141)
 PINNED_FIT_COST = 0.10517111083718028
-PINNED_ITE_PHASES = (-1.1455685129561224, -0.6896504230207215, -1.5707961501291778,
-                     0.3294800548214498, 0.7853980053723272)
-PINNED_ITE_COST = 0.0004311658087292044
+PINNED_ITE_PHASES = (-1.1455685747017725, -0.6896504397245992, -1.5707964594251957,
+                     0.3294800422562513, 0.7853982821917711)
+PINNED_ITE_COST = 0.0004311658087289477
 PINNED_SIGN_PAIRS = (
-    (-3.2215873748040957, -5.553640682422249), (-2.5062247915536715, -4.027843834897048),
-    (0.5535052886776046, -1.7703861467282511), (-3.5861174794254036, -4.753093846856734),
-    (-1.5454506628840328, -3.558835169174177), (0.0, -1.290456186403103),
+    (-2.575832840310874, -4.919270610561209), (-1.5249193793421265, -9.301265278282338),
+    (2.0608705692278506, -6.916692851072424), (-2.0400090875982237, 2.456333390288118),
+    (-0.6804995435763224, -3.1379222400522537), (0.0, -4.992512355311169),
 )
 
 
@@ -589,8 +607,9 @@ def test_multistart_stalls_on_restarts_that_refind_the_best_minimum(monkeypatch)
      lambda: phases_to_dr_angles(grover_to_qsp(fixed_point_angles(6, math.sqrt(0.1))))[:11]),
 ], ids=["flow", "sign"])
 def test_restarts_start_at_the_closed_form_schedule(fit, seed, start, monkeypatch):
-    """Restart 1 starts at the fit's closed-form schedule (the product formula, or the
-    quasi-Chebyshev prefix at delta^2 = 2 cap) and restart 2 perturbs it by N(0, 0.4)."""
+    """Restart 0 starts at the fit's closed-form schedule (the product formula, or the
+    quasi-Chebyshev prefix at delta^2 = 2 cap), and restart 1 perturbs it by N(0, 0.4),
+    drawn after the random point that restart 0 draws and does not use."""
     starts = []
 
     def record(problem, x0, goal=-math.inf):
@@ -601,10 +620,52 @@ def test_restarts_start_at_the_closed_form_schedule(fit, seed, start, monkeypatc
     fit()
     want = start()
     rng = np.random.default_rng(seed)
-    rng.normal(size=len(want))  # restart 0
+    rng.normal(size=len(want))  # restart 0's unused random point
     assert len(starts) == 3
-    assert np.array_equal(starts[1], want)
+    assert np.array_equal(starts[0], want)
+    assert np.array_equal(starts[1], want + rng.normal(0.0, 0.4, len(want)))
     assert np.array_equal(starts[2], want + rng.normal(0.0, 0.4, len(want)))
+
+
+def _recorded_solves(monkeypatch):
+    """Wrap _lsq_solve; the returned list gets (x0, nfev) for every solve."""
+    solves, solve = [], qsp_engine._lsq_solve
+
+    def record(problem, x0, goal=-math.inf):
+        res = solve(problem, x0, goal=goal)
+        solves.append((np.array(x0), res.nfev))
+        return res
+
+    monkeypatch.setattr(qsp_engine, "_lsq_solve", record)
+    return solves
+
+
+def test_flow_fit_that_the_formula_start_solves_takes_one_short_solve(monkeypatch):
+    """At s=1, K=16 the solve from the product formula meets the 1e-10 goal at once."""
+    solves = _recorded_solves(monkeypatch)
+    _, cost = fit_ite_phases(1.0, 16)
+    assert cost < 1e-10
+    assert len(solves) == 1
+    assert solves[0][1] <= 20
+
+
+def test_flow_fit_below_its_goal_starts_at_the_formula_and_stalls(monkeypatch):
+    """At s=2, K=8 no start meets the goal: restart 0 is the formula and three
+    perturbations of it that do not improve end the fit on the stall rule."""
+    solves = _recorded_solves(monkeypatch)
+    _, cost = fit_ite_phases(2.0, 8)
+    assert cost >= 1e-10
+    assert len(solves) == 1 + 3
+    assert np.array_equal(solves[0][0], _formula_start(2.0, 8))
+
+
+def test_fit_phases_restart_zero_is_still_the_small_random_point(monkeypatch):
+    """fit_phases has no closed-form start, so its restart 0 is 0.01 N(0, 1) from seed."""
+    solves = _recorded_solves(monkeypatch)
+    fit_phases(ChebyshevPoly((0.3, 0.0, 0.5), "even"), 2, seed=11, restarts=1)
+    want = 0.01 * np.random.default_rng(11).normal(size=2)
+    assert np.array_equal(solves[0][0], want)  # the exploration solve of restart 0
+    assert np.array_equal(solves[2][0], want)  # the polish-only chain of restart 0
 
 
 @pytest.mark.parametrize("s", [3.0, 4.0, 5.0, 6.0])
