@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Fit a fixed probe set and write its phases and costs as exact JSON.
+"""Fit a fixed probe set and write its phases, costs and target series as exact JSON.
 
-A change meant to leave the fits untouched (a faster kernel, a refactor of the
-fit driver) can be checked by running this on both sides and comparing bytes:
+A change meant to leave the fits and the Chebyshev-series builders untouched
+(a faster kernel, a refactor of the fit driver or of the series builders) can
+be checked by running this on both sides and comparing bytes:
 
     PYTHONPATH=src python scripts/fit_probe.py before.json   # on the old tree
     PYTHONPATH=src python scripts/fit_probe.py after.json    # on the new tree
@@ -28,7 +29,9 @@ from grover_ite_lab.qsp_engine import (
     fit_ite_phases,
     fit_phases,
     fixed_point_via_sign,
+    jacobi_anger,
     sign_poly,
+    target_ite_component,
 )
 
 
@@ -37,11 +40,25 @@ def _fit(phases_and_cost):
     return {"phases": [repr(p) for p in phases.phases], "cost": repr(cost)}
 
 
+def _series(coeffs):
+    return {"coeffs": [repr(float(c)) for c in coeffs]}
+
+
 def _schedule(schedule):
     return {"pairs": [[repr(a), repr(b)] for a, b in schedule.grover_pairs()]}
 
 
 PROBES = {
+    "jacobi_anger cos s=1 eps=1e-8": lambda: _series(jacobi_anger("cos", 1.0, 1e-8).coeffs),
+    "jacobi_anger sin s=2 eps=1e-9": lambda: _series(jacobi_anger("sin", 2.0, 1e-9).coeffs),
+    "jacobi_anger cos s=20 eps=1e-3": lambda: _series(jacobi_anger("cos", 20.0, 1e-3).coeffs),
+    "target_ite_component s=1 eps=1e-8": lambda: _series(target_ite_component(1.0, 1e-8).coeffs),
+    "target_ite_component s=8 eps=1e-6": lambda: _series(target_ite_component(8.0, 1e-6).coeffs),
+    "target_ite_component s=32 eps=1e-3": lambda: _series(
+        target_ite_component(32.0, 1e-3).coeffs),
+    "sign_poly eta=0.1 cap=0.05": lambda: _series(sign_poly(0.1, 0.05).coeffs),
+    "fixed-point sign target N=6 eta=0.35 cap=0.05": lambda: _series(
+        qsp_engine._sign_series(0.35, 0.05, 1.0, 11)),
     "fit_phases linear K=1 seed=5": lambda: _fit(
         fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 1, seed=5, restarts=4)),
     "fit_phases (0.5,0,0.5) K=2 seed=11": lambda: _fit(

@@ -230,8 +230,8 @@ def _base_pulses(kind: FormulaKind, sigma: float) -> tuple[Pulse, ...]:
 
 
 def require_count(name: str, value) -> None:
-    """DomainError unless value is an integer >= 1 (an iterate, angle or copy count)."""
-    if not isinstance(value, numbers.Integral):
+    """DomainError unless value is an integer >= 1, not a bool (an iterate, angle or copy count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise DomainError(f"{name} must be >= 1")
@@ -244,7 +244,14 @@ def require_duration(s) -> None:
 
 
 def compile_formula(kind: FormulaKind, s: float, fragments: int = 1) -> AngleSchedule:
-    """Schedule approximating exp(s [H_f, P0]) as `fragments` copies at s/fragments."""
+    """Schedule approximating exp(s [H_f, P0]) as `fragments` copies at s/fragments.
+
+    A non-real, boolean or non-finite s raises DomainError; s < 0 raises NegativeDuration.
+    """
+    if isinstance(s, bool) or not isinstance(s, numbers.Real):
+        raise DomainError(f"s must be a real number, got {s!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     if s < 0:
         raise NegativeDuration(f"duration must be nonnegative, got {s!r}")
     require_count("fragments", fragments)
@@ -318,15 +325,10 @@ def formula_error(inst, kind: FormulaKind, s: float, fragments: int = 1) -> floa
     # deferred: grover_engine imports this module
     from .grover_engine import reduced_iterate_product
 
-    if isinstance(s, bool) or not isinstance(s, numbers.Real):
-        raise DomainError(f"s must be a real number, got {s!r}")
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
-    inst.require_nondegenerate()
     sched = compile_formula(kind, s, fragments)
+    inst.require_nondegenerate()
     product = sched.grover_phase * reduced_iterate_product(inst.e0, sched.grover_pairs())
-    theta = s * math.sqrt(inst.v0)
+    theta = sched.s_target * math.sqrt(inst.v0)
     c, sn = math.cos(theta), math.sin(theta)
     error = geometry.operator_norm(product - np.array([[c, -sn], [sn, c]]))
     if inst.n_marked >= 2:

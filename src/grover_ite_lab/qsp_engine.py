@@ -22,6 +22,12 @@ shifts phi_0 by -pi/4, interior phases by -pi/2 and phi_K by +(2K-1)pi/4, after
 which the (0,0) rows agree exactly and the full matrices differ only by
 diag(1, (-1)^K).
 
+The polynomial targets are Chebyshev series: the Jacobi-Anger (Bessel) series
+of cos(s x), sin(s x) and the flow component cos(s x sqrt(1 - x^2)), and an
+error-function interpolant of the sign.  One routine, _shortest_prefix, sizes
+every one of them: it doubles the degree until the whole series passes the
+target's grid test, then returns the shortest prefix that still passes.
+
 Phase fitting optimizes a sequence of D(a_j) X(x) factors (a_j = 2 phi_j) on
 x in [0, 1]: against a target polynomial with penalties on the imaginary part
 of the (0,0) entry and on the relative phase of the two column entries, or,
@@ -373,6 +379,53 @@ _GRID = np.linspace(-1.0, 1.0, 2001)
 _MAX_SERIES_DEGREE = 4096
 
 
+def _shortest_prefix(series: Callable[[int], np.ndarray], ok: Callable[[np.ndarray], bool],
+                     degree: int, low: int, max_degree: int = _MAX_SERIES_DEGREE):
+    """Shortest prefix of a Chebyshev series that passes ``ok``, or None.
+
+    series(d) returns the coefficients through T_d.  d starts at ``degree`` and
+    doubles until the whole series passes ok; then the prefixes through
+    T_low, T_{low+2}, ... are tested in turn, up to T_max_degree.  None means
+    that no d up to _MAX_SERIES_DEGREE passed, or that no prefix up to
+    max_degree did.
+    """
+    while not ok(full := series(degree)):
+        degree *= 2
+        if degree > _MAX_SERIES_DEGREE:
+            return None
+    for d in range(low, min(degree, max_degree) + 1, 2):
+        if ok(full[: d + 1]):
+            return full[: d + 1]
+    return None
+
+
+def _bessel_series(z: float, degree: int, first: int, stride: int, sign: float) -> np.ndarray:
+    """Jacobi-Anger coefficients through T_degree: c[stride n] = 2 sign^l J_n(z), n = 2l + first.
+
+    For first = 0 the constant term is J_0(z), not 2 J_0(z).  All other slots are 0.
+    """
+    from scipy.special import jv
+
+    c = np.zeros(degree + 1)
+    ls = np.arange(0, (degree // stride - first) // 2 + 1)
+    orders = 2 * ls + first
+    c[stride * orders] = 2.0 * sign ** ls * jv(orders, z)
+    if first == 0:
+        c[0] = jv(0, z)
+    return c
+
+
+def _grid_ok(ref: np.ndarray, eps: float) -> Callable[[np.ndarray], bool]:
+    """Test that a Chebyshev series is within eps of ``ref`` at every point of _GRID."""
+    return lambda c: float(np.abs(_cheb.chebval(_GRID, c) - ref).max()) <= eps
+
+
+def _require_between(name: str, value, lo: float, hi: float) -> None:
+    """DomainError unless value is a real number, not a bool, with lo < value < hi."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and lo < value < hi):
+        raise DomainError(f"{name} must be a real number in ({lo:g}, {hi:g}), got {value!r}")
+
+
 def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
     """Truncated Bessel series for cos(s x) or sin(s x) on [-1, 1].
 
@@ -385,75 +438,37 @@ def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
     """
     if kind not in ("cos", "sin"):
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if not 0.0 < eps < 1.0 / math.e:
-        raise DomainError(f"eps must be in (0, 1/e), got {eps!r}")
+    _require_between("eps", eps, 0.0, 1.0 / math.e)
     require_duration(s)
-    from scipy.special import jv
-
+    first = 0 if kind == "cos" else 1
     ref = np.cos(s * _GRID) if kind == "cos" else np.sin(s * _GRID)
-
-    def coeffs_up_to(degree: int) -> np.ndarray:
-        c = np.zeros(degree + 1)
-        if kind == "cos":
-            ls = np.arange(0, degree // 2 + 1)
-            c[2 * ls] = 2.0 * (-1.0) ** ls * jv(2 * ls, s)
-            c[0] = jv(0, s)
-        else:
-            ls = np.arange(0, (degree - 1) // 2 + 1)
-            c[2 * ls + 1] = 2.0 * (-1.0) ** ls * jv(2 * ls + 1, s)
-        return c
-
-    def grid_ok(c: np.ndarray) -> bool:
-        return float(np.abs(_cheb.chebval(_GRID, c) - ref).max()) <= eps
-
-    degree = 4
-    while degree <= _MAX_SERIES_DEGREE:
-        full = coeffs_up_to(degree)
-        if grid_ok(full):
-            break
-        degree *= 2
-    else:
+    c = _shortest_prefix(lambda d: _bessel_series(s, d, first, 1, -1.0), _grid_ok(ref, eps),
+                         4, first)
+    if c is None:
         raise DegreeTooSmall("series did not meet eps below the degree cap")
-
-    step = 2
-    low = 0 if kind == "cos" else 1
-    for d in range(low, degree + 1, step):
-        if grid_ok(full[: d + 1]):
-            return ChebyshevPoly(tuple(full[: d + 1]), "even" if kind == "cos" else "odd")
-    raise DegreeTooSmall("unreachable: full series passed but no prefix did")
+    return ChebyshevPoly(tuple(c), "even" if kind == "cos" else "odd")
 
 
 def target_ite_component(s: float, eps: float) -> ChebyshevPoly:
-    """Polynomial approximation of cos(s x sqrt(1 - x^2)) on [-1, 1].
+    """Truncated Bessel series for the flow component cos(s x sqrt(1 - x^2)) on [-1, 1].
 
-    The target is an entire even function of x (a power series in x^2 - x^4),
-    so its Chebyshev interpolant converges fast.  The interpolant's degree is
-    doubled until it is within eps of the target on the standard grid, its odd
-    coefficients (roundoff) are cleared, and it is trimmed to the smallest even
-    degree that still meets eps, the way _sign_series treats erf.
+    With x = cos(phi), s x sqrt(1 - x^2) = (s/2) sin(2 phi), and the
+    Jacobi-Anger expansion gives
+
+    cos(s x sqrt(1 - x^2)) = J_0(s/2) + 2 sum_l J_{2l}(s/2) T_{4l}(x),
+
+    so every coefficient off the T_{4l} slots is exactly 0.  The degree is
+    chosen as in jacobi_anger: doubled until the sup error on the 2001-point
+    grid is <= eps, then trimmed to the smallest degree that still meets it.
     """
     require_duration(s)
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must be in (0, 1), got {eps!r}")
-    target = lambda x: np.cos(s * x * np.sqrt(1.0 - x ** 2))
-    ref = target(_GRID)
-
-    def grid_ok(c: np.ndarray) -> bool:
-        return float(np.abs(_cheb.chebval(_GRID, c) - ref).max()) <= eps
-
-    degree = 8
-    while degree <= _MAX_SERIES_DEGREE:
-        full = _cheb.chebinterpolate(target, degree)
-        full[1::2] = 0.0
-        if grid_ok(full):
-            break
-        degree *= 2
-    else:
-        raise DegreeTooSmall("interpolant did not meet eps below the degree cap")
-    for d in range(0, degree + 1, 2):
-        if grid_ok(full[: d + 1]):
-            return ChebyshevPoly(tuple(full[: d + 1]), "even")
-    raise DegreeTooSmall("unreachable: full interpolant passed but no prefix did")
+    _require_between("eps", eps, 0.0, 1.0)
+    ref = np.cos(s * _GRID * np.sqrt(1.0 - _GRID ** 2))
+    c = _shortest_prefix(lambda d: _bessel_series(s / 2.0, d, 0, 2, 1.0), _grid_ok(ref, eps),
+                         8, 0)
+    if c is None:
+        raise DegreeTooSmall("series did not meet eps below the degree cap")
+    return ChebyshevPoly(tuple(c), "even")
 
 
 def _sign_series(eta: float, cap: float, halfwidth: float, max_degree: int):
@@ -472,6 +487,11 @@ def _sign_series(eta: float, cap: float, halfwidth: float, max_degree: int):
     outside = np.abs(x) >= eta
     sgn = np.sign(x)
 
+    def series(degree: int) -> np.ndarray:
+        c = _cheb.chebinterpolate(lambda u: scale * erf(kappa * halfwidth * u), degree)
+        c[0::2] = 0.0
+        return c
+
     def ok(c: np.ndarray) -> bool:
         vals = _cheb.chebval(grid, c)
         return (
@@ -479,20 +499,7 @@ def _sign_series(eta: float, cap: float, halfwidth: float, max_degree: int):
             and float(np.abs(vals).max()) <= 1.0
         )
 
-    degree = 32
-    full = None
-    while degree <= _MAX_SERIES_DEGREE:
-        full = _cheb.chebinterpolate(lambda u: scale * erf(kappa * halfwidth * u), degree)
-        full[0::2] = 0.0
-        if ok(full):
-            break
-        degree *= 2
-    else:
-        return None
-    for d in range(1, min(degree, max_degree) + 1, 2):
-        if ok(full[: d + 1]):
-            return np.array(full[: d + 1])
-    return None
+    return _shortest_prefix(series, ok, 32, 1, max_degree)
 
 
 def sign_poly(eta: float, delta_cap: float) -> ChebyshevPoly:
@@ -501,10 +508,8 @@ def sign_poly(eta: float, delta_cap: float) -> ChebyshevPoly:
     Satisfies |p(x) - sgn(x)| <= delta_cap for eta <= |x| <= 2 and |p| <= 1 on
     [-2, 2]; the evaluation domain is stored via halfwidth = 2.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must be in (0, 1), got {eta!r}")
-    if not 0.0 < delta_cap < 0.5:
-        raise DomainError(f"delta_cap must be in (0, 1/2), got {delta_cap!r}")
+    _require_between("eta", eta, 0.0, 1.0)
+    _require_between("delta_cap", delta_cap, 0.0, 0.5)
     coeffs = _sign_series(eta, delta_cap, 2.0, _MAX_SERIES_DEGREE)
     if coeffs is None:
         raise DegreeTooSmall("sign approximant did not converge below the degree cap")
@@ -740,15 +745,10 @@ def _lsq_solve(problem, x0, goal: float = -math.inf):
 _lbfgs = _lsq_solve
 
 
-def dr_angles_to_phases(a: Sequence[float], grover_pairs: bool = False) -> QspPhases:
-    """Phases of the sequence equal (on the initial state) to the D-X product.
-
-    With grover_pairs=True the leading phase also absorbs the (-1)^N of N
-    Grover iterates, matching grover_to_qsp.
-    """
+def dr_angles_to_phases(a: Sequence[float]) -> QspPhases:
+    """Phases of the sequence equal (on the initial state) to the D-X product."""
     a = [float(v) for v in a]
-    offset = (len(a) // 2) * math.pi if grover_pairs else 0.0
-    phis = [offset + sum(a) / 2.0] + [v / 2.0 for v in a]
+    phis = [sum(a) / 2.0] + [v / 2.0 for v in a]
     return QspPhases(tuple(phis), "R")
 
 
@@ -811,8 +811,10 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     below the goal the fit ends, skipping the remaining chains and restarts.
     It also ends after ``stall_limit`` restarts in a row that did not lower
     the best cost by more than the relative STALL_MARGIN.  Ties go to the
-    earlier restart.
+    earlier restart.  ``seed`` must be an integer >= 0.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     centre = np.zeros(k) if start is None else start
     best_a, best_cost, stall = None, math.inf, 0
@@ -841,11 +843,6 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     return best_a, best_cost
 
 
-def _check_restarts(restarts: int):
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts!r}")
-
-
 def fit_phases(
     target: TargetLike,
     k: int,
@@ -860,7 +857,7 @@ def fit_phases(
     winner is chosen by (cost, restart index).  Deterministic for fixed seed.
     """
     require_count("k", k)
-    _check_restarts(restarts)
+    require_count("restarts", restarts)
     xs = np.linspace(0.0, 1.0, fit_points(k))
     tv = np.asarray(target(xs), dtype=float)
     full = fit_residuals(xs, tv, LAMBDA1, LAMBDA2)
@@ -913,7 +910,7 @@ def fit_ite_phases(
     """
     require_duration(s)
     require_count("k", k)
-    _check_restarts(restarts)
+    require_count("restarts", restarts)
     xs = chebyshev_nodes(fit_points(k))
     flow = fit_residuals(xs, state=flow_state(s, xs))
     best_a, best_cost = _multistart(((flow,),), 1e-10, k, seed, restarts, spread=0.4,
@@ -942,9 +939,9 @@ def fixed_point_via_sign(
     perturb it by N(0, 0.4), drawn from ``seed``.
     """
     require_count("iterations", iterations)
-    if not 0.0 < eta < 1.0 or not 0.0 < delta_cap < 0.5:
-        raise DomainError("need eta in (0,1) and delta_cap in (0, 1/2)")
-    _check_restarts(restarts)
+    _require_between("eta", eta, 0.0, 1.0)
+    _require_between("delta_cap", delta_cap, 0.0, 0.5)
+    require_count("restarts", restarts)
     k = 2 * iterations - 1
     final_coeffs = _sign_series(eta, delta_cap, 1.0, k)
     if final_coeffs is None:
@@ -960,4 +957,4 @@ def fixed_point_via_sign(
     best_a, _ = _multistart(((sign,),), 2e-6, k, seed, restarts, spread=0.4, stall_limit=3,
                             start=start)
     a_full = np.concatenate([best_a, [0.0]])
-    return qsp_to_grover(dr_angles_to_phases(a_full, grover_pairs=True))
+    return qsp_to_grover(dr_angles_to_phases(a_full))

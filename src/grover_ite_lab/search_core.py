@@ -13,6 +13,7 @@ psi0_perp}, so states admit an exact 2-component reduction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,11 @@ class SearchInstance:
     marked: tuple[int, ...]
 
     def __post_init__(self):
+        # numpy integers count as integers; bools and floats do not
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral)
+               for i in (self.n_qubits, *self.marked)):
+            raise ValueError("n_qubits and the marked indices must be integers, "
+                             f"got {self.n_qubits!r} and {self.marked!r}")
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
         marked = tuple(sorted(set(int(i) for i in self.marked)))

@@ -239,8 +239,10 @@ def test_run_reduced_norm_guard_trips_on_nan(monkeypatch):
     lambda: NamedSchedule("pi-over-three", "3").angle_pairs(),
     lambda: NamedSchedule("fixed-point-chebyshev", 2.5, delta2=0.1).angle_pairs(),
     lambda: fixed_point_angles(2.5, 0.3),
-], ids=["original-pi", "pi-over-three-str", "fixed-point-chebyshev", "fixed-point-angles"])
+    lambda: fixed_point_angles(True, 0.3),
+], ids=["original-pi", "pi-over-three-str", "fixed-point-chebyshev", "fixed-point-angles",
+        "fixed-point-angles-bool"])
 def test_non_integer_iteration_counts_raise_domain_error(make):
-    """These once raised TypeError from list repetition or range()."""
+    """These once raised TypeError from list repetition or range(), or took True as 1."""
     with pytest.raises(DomainError, match="integer"):
         make()

@@ -274,6 +274,8 @@ def test_formula_error_rejects_bad_durations_and_degenerate_instances():
 def test_formula_error_rejects_numeric_strings_and_booleans(s):
     """float() would take these: '0.1' as 0.1 and True as a duration of 1."""
     with pytest.raises(DomainError, match="^s must be a real number"):
+        compile_formula(GroupCommutator(), s)
+    with pytest.raises(DomainError, match="^s must be a real number"):
         formula_error(INST, GroupCommutator(), s)
     with pytest.raises(DomainError, match="^s must be a real number"):
         measure_formula_error(INST, GroupCommutator(), [0.1, s])

@@ -206,6 +206,19 @@ def test_target_ite_component_contract():
         assert poly.degree <= 2 * base.degree
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5, 3.0, 32.0])
+def test_target_ite_component_is_the_jacobi_anger_series(s):
+    """cos(s x sqrt(1 - x^2)) = J_0(s/2) + 2 sum_l J_2l(s/2) T_4l(x): every other slot is 0."""
+    from scipy.special import jv
+
+    c = np.array(target_ite_component(s, 1e-8).coeffs)
+    assert len(c) % 4 == 1
+    slots = np.arange(0, len(c), 4)
+    want = np.where(slots == 0, 1.0, 2.0) * jv(slots // 2, s / 2.0)
+    np.testing.assert_allclose(c[slots], want, rtol=1e-15, atol=0.0)
+    assert not np.delete(c, slots).any()
+
+
 @pytest.mark.parametrize("s", [28.0, 32.0])
 def test_target_ite_component_at_long_durations(s):
     """The power-basis substitution this replaced lost precision and raised from s=28 on."""
@@ -310,7 +323,14 @@ def test_fit_ite_phases_rejects_non_finite_duration(s):
     lambda: fit_ite_phases(1.0, "8"),
     lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 2.0),
     lambda: fixed_point_via_sign(2.5, 0.35, 0.05),
-], ids=["ite-float", "ite-str", "poly-float", "sign-float"])
+    lambda: fit_ite_phases(1.0, True),
+    lambda: fit_ite_phases(1.0, 4, seed=1.5),
+    lambda: fit_ite_phases(1.0, 4, seed=-1),
+    lambda: fit_ite_phases(1.0, 4, seed=True),
+    lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 1, seed="0"),
+    lambda: fixed_point_via_sign(6, 0.35, 0.05, seed=-1),
+], ids=["ite-float", "ite-str", "poly-float", "sign-float", "ite-bool", "ite-seed-float",
+        "ite-seed-negative", "ite-seed-bool", "poly-seed-str", "sign-seed-negative"])
 def test_fits_reject_non_integer_k(fit):
     with pytest.raises(DomainError, match="integer"):
         fit()
@@ -339,7 +359,22 @@ def test_fit_ite_phases_beyond_fifty_angles_holds_off_its_nodes():
     assert float(np.max(infidelity(np.linspace(0.0, 1.0, 4001)))) <= 10.0 * cost
 
 
-@pytest.mark.parametrize("restarts", [0, -2])
+@pytest.mark.parametrize("series", [
+    lambda bad: jacobi_anger("cos", 1.0, bad),
+    lambda bad: target_ite_component(1.0, bad),
+    lambda bad: sign_poly(bad, 0.05),
+    lambda bad: sign_poly(0.1, bad),
+    lambda bad: fixed_point_via_sign(6, bad, 0.05),
+    lambda bad: fixed_point_via_sign(6, 0.3, bad),
+], ids=["jacobi-anger-eps", "ite-eps", "sign-eta", "sign-cap", "fp-eta", "fp-cap"])
+@pytest.mark.parametrize("bad", ["1e-3", True, 1j, None, 0.0, math.nan], ids=repr)
+def test_series_reject_tolerances_that_are_not_reals_in_range(series, bad):
+    """A typed DomainError, where a string or complex once raised TypeError and True passed."""
+    with pytest.raises(DomainError, match="must be a real number in"):
+        series(bad)
+
+
+@pytest.mark.parametrize("restarts", [0, -2, 1.5, 2.0, True])
 def test_fits_reject_restarts_below_one(restarts):
     fits = (lambda: fit_phases(ChebyshevPoly((0.0, 1.0), "odd"), 1, restarts=restarts),
             lambda: fit_ite_phases(0.5, 4, restarts=restarts),

@@ -136,6 +136,11 @@ def test_instance_validation():
         SearchInstance(15, (0,))
     with pytest.raises(ValueError):
         SearchInstance(2, (4,))
+    # non-integers and bools are rejected, not truncated or taken as 1
+    for n, marked in ((2.5, (0,)), (True, (0,)), (2, (1.5,)), (2, ("1",)), (2, (True,))):
+        with pytest.raises(ValueError, match="integer"):
+            SearchInstance(n, marked)
+    assert SearchInstance(np.int64(2), (np.int64(3), np.uint8(1))).marked == (1, 3)
     # duplicates collapse, order normalizes
     assert SearchInstance(2, (3, 1, 3)).marked == (1, 3)
 
