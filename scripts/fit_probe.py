@@ -13,8 +13,12 @@ Floats are written with ``repr``, which round-trips exactly, so equal files
 mean bit-for-bit equal fits.  Compare runs made in the same environment: a
 different numpy/scipy/BLAS build or thread count may move the last digits.
 Each probe's time, least-squares solves and residual evaluations go to
-standard error.  The probe set takes about 1.4 s on a 2-vCPU x86-64 host,
-most of it the first scipy import and the N=6 sign fit.
+standard error, so a change to the fit driver's stop rules shows there: the
+K=8 flow probes at s=2 and s=3 end at a restart that refinds the best
+minimum, s=5 on the stall limit after restart 1 improves on the formula, and
+s=1, K=16 at its goal.  The probe set takes about 1.9 s on a 2-vCPU x86-64
+host (the whole script), most of it start-up, the first scipy import and the
+N=6 sign fit.
 """
 
 import argparse
@@ -70,6 +74,7 @@ PROBES = {
     "fit_ite_phases s=0.5 K=8": lambda: _fit(fit_ite_phases(0.5, 8)),
     "fit_ite_phases s=2 K=8": lambda: _fit(fit_ite_phases(2.0, 8)),
     "fit_ite_phases s=3 K=8": lambda: _fit(fit_ite_phases(3.0, 8)),
+    "fit_ite_phases s=5 K=8": lambda: _fit(fit_ite_phases(5.0, 8)),
     "fit_ite_phases s=2 K=4 seed=3": lambda: _fit(fit_ite_phases(2.0, 4, seed=3)),
     "fit_ite_phases s=1 K=16": lambda: _fit(fit_ite_phases(1.0, 16)),
     "fixed_point_via_sign N=6 eta=0.35 cap=0.05 seed=3": lambda: _schedule(

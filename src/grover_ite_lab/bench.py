@@ -64,7 +64,7 @@ from .search_core import MAX_QUBITS
 
 CACHE_ENV_VAR = "GROVER_ITE_CACHE_DIR"
 # Marks the fit algorithm in both cache kinds; bumped whenever a fit's output may move.
-FIT_ALGO = "least-squares-v2"
+FIT_ALGO = "least-squares-v3"
 
 
 def _number(value, kind):

@@ -102,10 +102,8 @@ def query_bound(epsilon: float, d_fs: float) -> int:
     Derived for an even iterate count; an odd target costs one extra query.
     Diverges as d_fs -> pi/2 (zero initial overlap), which is rejected.
     """
-    if not 0.0 < epsilon < 2.0:
-        raise DomainError(f"epsilon must be in (0, 2), got {epsilon!r}")
-    if not 0.0 <= d_fs < math.pi / 2:
-        raise DomainError(f"d_fs must be in [0, pi/2), got {d_fs!r}")
+    pf_compiler.require_between("epsilon", epsilon, 0.0, 2.0)
+    pf_compiler.require_between("d_fs", d_fs, 0.0, math.pi / 2, closed_lo=True)
     return int(math.ceil(QUERY_BOUND_CONSTANT / epsilon ** 2 / abs(math.pi / 2 - d_fs)))
 
 

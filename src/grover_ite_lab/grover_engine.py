@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyMarkedSet, NonAlternatingSchedule, NumericalDomain
-from .pf_compiler import Generator, fixed_point_angles, require_count
+from .pf_compiler import Generator, fixed_point_angles, require_between, require_count
 from .qsp_engine import _dr_forward, reflection_matrix
 from .search_core import (
     ReducedState,
@@ -84,8 +84,7 @@ class NamedSchedule:
         if self.kind == "pi-over-three":
             return [(math.pi / 3.0, math.pi / 3.0)] * self.iterations
         if self.kind == "fixed-point-chebyshev":
-            if self.delta2 is None:
-                raise DomainError("fixed-point-chebyshev needs delta2")
+            require_between("delta2", self.delta2, 0.0, 1.0)
             return fixed_point_angles(self.iterations, math.sqrt(self.delta2)).grover_pairs()
         raise DomainError(f"unknown named schedule {self.kind!r}")
 

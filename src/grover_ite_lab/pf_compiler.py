@@ -229,12 +229,21 @@ def _base_pulses(kind: FormulaKind, sigma: float) -> tuple[Pulse, ...]:
     raise TypeError(f"unknown formula kind {kind!r}")
 
 
-def require_count(name: str, value) -> None:
-    """DomainError unless value is an integer >= 1, not a bool (an iterate, angle or copy count)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1")
+def require_count(name: str, value, least: int = 1) -> None:
+    """DomainError unless value is an integer >= least, not a bool (a count, K or a seed)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_between(name: str, value, lo: float, hi: float, closed_lo: bool = False) -> None:
+    """DomainError unless value is a real number, not a bool, in (lo, hi); [lo, hi) if closed_lo.
+
+    A string, complex, None or NaN fails here with its name, not later with a TypeError.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (lo <= value if closed_lo else lo < value) and value < hi):
+        raise DomainError(f"{name} must be a real number in {'[' if closed_lo else '('}"
+                          f"{lo:g}, {hi:g}), got {value!r}")
 
 
 def require_duration(s) -> None:
@@ -276,8 +285,7 @@ def fixed_point_angles(iterations: int, delta: float) -> AngleSchedule:
     construction.
     """
     require_count("iterations", iterations)
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta!r}")
+    require_between("delta", delta, 0.0, 1.0)
     big_l = 2 * iterations + 1
     gamma = math.cosh(math.acosh(1.0 / delta) / big_l)
     omega = math.sqrt(max(0.0, 1.0 - 1.0 / gamma ** 2))

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence, Union
@@ -62,7 +61,8 @@ from .errors import (
     OptimizerDiverged,
 )
 from .pf_compiler import (AngleSchedule, Generator, GroupCommutator, Pulse, compile_formula,
-                          fixed_point_angles, require_count, require_duration)
+                          fixed_point_angles, require_between, require_count,
+                          require_duration)
 
 # ---------------------------------------------------------------------------
 # Phase lists and sequence evaluation
@@ -301,8 +301,7 @@ def check_achievability(poly: ChebyshevPoly, k: int) -> AchievabilityReport:
     CONDITION_TOL; the report records the worst point and its margin either
     way.  K must be an integer >= 0.
     """
-    if not isinstance(k, numbers.Integral) or k < 0:
-        raise DomainError(f"k must be an integer >= 0, got {k!r}")
+    require_count("k", k, least=0)
     verdicts = []
 
     deg = poly.degree
@@ -420,12 +419,6 @@ def _grid_ok(ref: np.ndarray, eps: float) -> Callable[[np.ndarray], bool]:
     return lambda c: float(np.abs(_cheb.chebval(_GRID, c) - ref).max()) <= eps
 
 
-def _require_between(name: str, value, lo: float, hi: float) -> None:
-    """DomainError unless value is a real number, not a bool, with lo < value < hi."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and lo < value < hi):
-        raise DomainError(f"{name} must be a real number in ({lo:g}, {hi:g}), got {value!r}")
-
-
 def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
     """Truncated Bessel series for cos(s x) or sin(s x) on [-1, 1].
 
@@ -438,7 +431,7 @@ def jacobi_anger(kind: str, s: float, eps: float) -> ChebyshevPoly:
     """
     if kind not in ("cos", "sin"):
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    _require_between("eps", eps, 0.0, 1.0 / math.e)
+    require_between("eps", eps, 0.0, 1.0 / math.e)
     require_duration(s)
     first = 0 if kind == "cos" else 1
     ref = np.cos(s * _GRID) if kind == "cos" else np.sin(s * _GRID)
@@ -462,7 +455,7 @@ def target_ite_component(s: float, eps: float) -> ChebyshevPoly:
     grid is <= eps, then trimmed to the smallest degree that still meets it.
     """
     require_duration(s)
-    _require_between("eps", eps, 0.0, 1.0)
+    require_between("eps", eps, 0.0, 1.0)
     ref = np.cos(s * _GRID * np.sqrt(1.0 - _GRID ** 2))
     c = _shortest_prefix(lambda d: _bessel_series(s / 2.0, d, 0, 2, 1.0), _grid_ok(ref, eps),
                          8, 0)
@@ -508,8 +501,8 @@ def sign_poly(eta: float, delta_cap: float) -> ChebyshevPoly:
     Satisfies |p(x) - sgn(x)| <= delta_cap for eta <= |x| <= 2 and |p| <= 1 on
     [-2, 2]; the evaluation domain is stored via halfwidth = 2.
     """
-    _require_between("eta", eta, 0.0, 1.0)
-    _require_between("delta_cap", delta_cap, 0.0, 0.5)
+    require_between("eta", eta, 0.0, 1.0)
+    require_between("delta_cap", delta_cap, 0.0, 0.5)
     coeffs = _sign_series(eta, delta_cap, 2.0, _MAX_SERIES_DEGREE)
     if coeffs is None:
         raise DegreeTooSmall("sign approximant did not converge below the degree cap")
@@ -546,13 +539,14 @@ def _reflector(xs: np.ndarray):
     return step
 
 
-def _dr_forward(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _dr_forward(a: np.ndarray, xs: np.ndarray, *, step=None) -> np.ndarray:
     """Prefix states of the product of D(a_j) X(x) factors applied to (1, 0).
 
     Returns a (K+1, 2, n_d) array: pre[j, c] is component c of the state after
-    the first j factors, at every signal point.
+    the first j factors, at every signal point.  ``step`` is _reflector(xs),
+    built here when not given; a fit builds it once for all its sweeps.
     """
-    step, mul = _reflector(xs), np.multiply
+    step, mul = step or _reflector(xs), np.multiply
     pre = np.empty((len(a) + 1, 2, len(xs)), dtype=complex)
     pre[0, 0] = 1.0
     pre[0, 1] = 0.0
@@ -565,16 +559,18 @@ def _dr_forward(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _dr_backward(pre: np.ndarray, seed: np.ndarray, a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _dr_backward(pre: np.ndarray, seed: np.ndarray, a: np.ndarray, xs: np.ndarray, *,
+                 step) -> np.ndarray:
     """Reverse sweep: derivatives of the overlaps <seed|v> with respect to the angles.
 
     ``pre`` is the (K+1, 2, n_d) output of _dr_forward and ``seed`` a (2, c n_d)
     stack of c cochains, each over the n_d signal points ``xs``.  Returns the
     complex (K, c n_d) array d<seed|v>/da_j = i conj(m_j) pre[j+1, 0], where
     m_j is the cochain carried back through the factors after angle j.
+    ``step`` is _reflector(np.tile(xs, c)), built once per fit by fit_residuals.
     """
     c = seed.shape[1] // len(xs)
-    step, mul = _reflector(np.tile(xs, c)), np.multiply
+    mul = np.multiply
     m = np.array(seed, dtype=complex, order="C")
     m0, m1 = m
     # conj of the first cochain component that meets angle j
@@ -588,14 +584,14 @@ def _dr_backward(pre: np.ndarray, seed: np.ndarray, a: np.ndarray, xs: np.ndarra
     return mc
 
 
-def _final_state(a: np.ndarray, xs: np.ndarray):
-    """Prefix states and the final state as an (n_d, 2) array.
+def _final_state(a: np.ndarray, xs: np.ndarray, step):
+    """Prefix states and the final state as an (n_d, 2) array; step is _reflector(xs).
 
     The residuals read p and q as strided columns of the (n_d, 2) copy: on
     contiguous rows numpy's SIMD complex product (p * conj(q)) rounds
     differently, which would move the fitted phases in their last bits.
     """
-    pre = _dr_forward(a, xs)
+    pre = _dr_forward(a, xs, step=step)
     return pre, pre[-1].T.copy()
 
 
@@ -617,6 +613,7 @@ def fit_residuals(xs, target_vals=None, lam1: float = 0.0, lam2: float = 0.0, st
     J(a) reuses the forward sweep of the last r(a) call at the same angles and
     adds one backward sweep, seeded with (1, 0) for p, (0, 1) for q and t_perp.
     The arg row is 0 where |p|^2 or |q|^2 underflows, though its residual is not.
+    The two sweeps' reflectors are built once here, not once per sweep.
     """
     n = len(xs)
     scale = 1.0 / math.sqrt(n)
@@ -630,13 +627,14 @@ def fit_residuals(xs, target_vals=None, lam1: float = 0.0, lam2: float = 0.0, st
         perp = np.stack([-state[:, 1], state[:, 0]])
         seeds.append(perp)
     seed = np.concatenate(seeds, axis=1) if seeds else np.zeros((2, 0))
+    forward, backward = _reflector(xs), _reflector(np.tile(xs, len(seeds)))
     swept = {}
 
     def sweep(a):
         key = a.tobytes()
         if key not in swept:
             swept.clear()
-            swept[key] = _final_state(a, xs)
+            swept[key] = _final_state(a, xs, forward)
         return swept[key]
 
     def residuals(a):
@@ -658,7 +656,8 @@ def fit_residuals(xs, target_vals=None, lam1: float = 0.0, lam2: float = 0.0, st
         if not seeds:
             return np.zeros((0, len(a)))
         pre, v = sweep(a)
-        blocks = iter(np.split(_dr_backward(pre, seed, a, xs), len(seeds), axis=1))
+        blocks = iter(np.split(_dr_backward(pre, seed, a, xs, step=backward), len(seeds),
+                               axis=1))
         rows = []
         if target_vals is not None or lam2:
             dp = next(blocks)
@@ -788,7 +787,8 @@ LAMBDA1 = 0.01
 LAMBDA2 = 0.1
 
 # A restart improves on the best cost only if it lowers it by more than this
-# share; restarts that land in the same minimum again count toward the stall limit.
+# share, and a restart whose best cost is within this share of the best before
+# it, on either side, has found the same minimum again and ends the fit.
 STALL_MARGIN = 1e-6
 
 
@@ -805,16 +805,20 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
     its random point either way, so restart r >= 1 draws the same
     perturbation with or without a start.
 
-    The goal is the stop rule.  The last solve of a chain, whose cost is the
-    one compared with the goal, ends at its first evaluated point below the
-    goal; the solves before it run to their own end.  Once the best cost is
-    below the goal the fit ends, skipping the remaining chains and restarts.
-    It also ends after ``stall_limit`` restarts in a row that did not lower
-    the best cost by more than the relative STALL_MARGIN.  Ties go to the
-    earlier restart.  ``seed`` must be an integer >= 0.
+    Three rules end a fit before its last restart.  The goal: the last solve
+    of a chain, whose cost is the one compared with the goal, ends at its
+    first evaluated point below the goal (the solves before it run to their
+    own end), and once the best cost is below the goal the fit skips the
+    remaining chains and restarts.  The refind: a restart whose best cost is
+    within the relative STALL_MARGIN of the best cost before it, on either
+    side, found that minimum again, and the fit ends there.  No restart
+    refinds a best cost that is not finite.  The stall: the fit ends after
+    ``stall_limit`` restarts in a row that did not lower the best cost by
+    more than STALL_MARGIN, such as restarts that land in worse minima.  A
+    refind that is lower still becomes the best; ties go to the earlier
+    restart.  ``seed`` must be an integer >= 0.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    require_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     centre = np.zeros(k) if start is None else start
     best_a, best_cost, stall = None, math.inf, 0
@@ -825,18 +829,21 @@ def _multistart(chains, goal: float, k: int, seed: int, restarts: int, spread: f
                 x0 = start
         else:
             x0 = centre + rng.normal(0.0, spread, k)
-        before = best_cost
+        before, landed = best_cost, math.inf
         for *lead, last in chains:
             x = x0
             for problem in lead:
                 x = _lsq_solve(problem, x).x
             res = _lsq_solve(last, x, goal=goal)
-            if math.isfinite(res.fun) and res.fun < best_cost:
-                best_a, best_cost = res.x, float(res.fun)
+            if math.isfinite(res.fun):
+                landed = min(landed, float(res.fun))
+                if res.fun < best_cost:
+                    best_a, best_cost = res.x, float(res.fun)
             if best_cost < goal:
                 break
+        refind = math.isfinite(before) and abs(landed - before) <= STALL_MARGIN * before
         stall = 0 if best_cost < before * (1.0 - STALL_MARGIN) else stall + 1
-        if best_cost < goal or stall >= stall_limit:
+        if best_cost < goal or refind or stall >= stall_limit:
             break
     if best_a is None:
         raise OptimizerDiverged("no restart produced a finite cost")
@@ -902,11 +909,13 @@ def fit_ite_phases(
     _multistart).  So ``restarts=1`` tries the formula alone, and ``seed``
     steers only the perturbations.
 
-    The goal is the stop rule: a solve ends at its first evaluated point below
-    it, and no further restart runs.  A fit that reaches the goal thus returns
-    a cost just below it, not the solver's best.  Otherwise the fit ends after
-    three restarts in a row that did not lower the best cost by more than the
-    relative STALL_MARGIN, or after ``restarts`` restarts.
+    The goal is the first stop rule: a solve ends at its first evaluated point
+    below it, and no further restart runs.  A fit that reaches the goal thus
+    returns a cost just below it, not the solver's best.  Otherwise the fit
+    ends at the first restart that refinds the best minimum (within the
+    relative STALL_MARGIN), after three restarts in a row that did not lower
+    the best cost by more than STALL_MARGIN, or after ``restarts`` restarts
+    (see _multistart).
     """
     require_duration(s)
     require_count("k", k)
@@ -936,11 +945,13 @@ def fixed_point_via_sign(
     penalty.  The fit is one goal-2e-6 multi-start (see _multistart) whose
     restart 0 is the first 2N-1 D-X angles of the quasi-Chebyshev fixed-point
     schedule (fixed_point_angles at delta^2 = 2 delta_cap); later restarts
-    perturb it by N(0, 0.4), drawn from ``seed``.
+    perturb it by N(0, 0.4), drawn from ``seed``.  It has the flow fit's stop
+    rules: the goal, a restart that refinds the best minimum, and three
+    restarts in a row without an improvement.
     """
     require_count("iterations", iterations)
-    _require_between("eta", eta, 0.0, 1.0)
-    _require_between("delta_cap", delta_cap, 0.0, 0.5)
+    require_between("eta", eta, 0.0, 1.0)
+    require_between("delta_cap", delta_cap, 0.0, 0.5)
     require_count("restarts", restarts)
     k = 2 * iterations - 1
     final_coeffs = _sign_series(eta, delta_cap, 1.0, k)

@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from grover_ite_lab import bench
+from grover_ite_lab import bench, qsp_engine
 from grover_ite_lab.qsp_engine import (QspPhases, _dr_forward, chebyshev_nodes, fit_ite_phases,
                                        fit_points, flow_state, phases_to_dr_angles)
 
@@ -66,6 +66,32 @@ def test_cold_refit_matches_committed_entry(committed_cache):
     assert sorted(committed_cache.iterdir()) == before  # a hit, not a fresh fit
     cold, _ = fit_ite_phases(s, 2 * config.iterations, seed=config.seed, restarts=config.restarts)
     assert cold.phases == pytest.approx(cached.phases, abs=1e-9, rel=0)
+
+
+def test_cold_refit_of_the_entry_that_a_stop_rule_decides(committed_cache, monkeypatch):
+    """fig-c's s=32, K=40 fit, refitted, against its cache entry.
+
+    It is the one committed entry whose winner a stop rule other than the
+    goal decides: restart 1 improves on the formula start, and the three
+    restarts after it land in worse minima, so the stall limit ends the fit
+    after five solves.  The refit takes about 1.4 s on a 2-CPU x86-64 host.
+    """
+    config = bench.ExperimentConfig.for_experiment("fig-c")
+    s = max(config.s_values)
+    cached = bench.fitted_ite_phases(s, config.iterations, config.seed, config.restarts)
+    costs, solve = [], qsp_engine._lsq_solve
+
+    def record(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        costs.append(res.fun)
+        return res
+
+    monkeypatch.setattr(qsp_engine, "_lsq_solve", record)
+    cold, cost = fit_ite_phases(s, 2 * config.iterations, seed=config.seed,
+                                restarts=config.restarts)
+    assert cold.phases == pytest.approx(cached.phases, abs=1e-9, rel=0)
+    assert len(costs) == 5
+    assert cost == min(costs) == costs[1]
 
 
 def _flow_infidelity(phases, s, xs):

@@ -108,6 +108,13 @@ def test_query_bound_values():
         query_bound(1.0, np.pi / 2)
 
 
+@pytest.mark.parametrize("d_fs", ["0.1", True, 1j, None, math.nan, -0.1, np.pi / 2], ids=repr)
+def test_query_bound_rejects_distances_that_are_not_reals_in_range(d_fs):
+    """d_fs lies in [0, pi/2); True once passed as 1 and a string raised TypeError."""
+    with pytest.raises(DomainError, match=r"d_fs must be a real number in \[0, "):
+        query_bound(0.1, d_fs)
+
+
 def test_query_bound_sqrt_envelope():
     for eps in (1.0, 0.5):
         for k in range(1, 13):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_ite_lab.errors import DegreeTooSmall, DomainError, NonAlternatingSchedule
-from grover_ite_lab.grover_engine import fixed_point_angles, reduced_iterate_product, run_reduced
+from grover_ite_lab.geometry import query_bound
+from grover_ite_lab.grover_engine import (NamedSchedule, fixed_point_angles,
+                                          reduced_iterate_product, run_reduced)
 from grover_ite_lab import bench, qsp_engine
 from grover_ite_lab.pf_compiler import GroupCommutator, compile_formula
 from grover_ite_lab.qsp_engine import (
@@ -156,7 +158,7 @@ def test_achievability_catches_violations():
     assert not rep2.verdicts[1].satisfied
 
 
-@pytest.mark.parametrize("k", [-2, -1, 1.5, "2"])
+@pytest.mark.parametrize("k", [-2, -1, 1.5, "2", True])
 def test_achievability_rejects_k_below_zero_or_not_integer(k):
     with pytest.raises(DomainError, match="k must be an integer >= 0"):
         check_achievability(ChebyshevPoly((0.0, 1.0), "odd"), k)
@@ -366,10 +368,17 @@ def test_fit_ite_phases_beyond_fifty_angles_holds_off_its_nodes():
     lambda bad: sign_poly(0.1, bad),
     lambda bad: fixed_point_via_sign(6, bad, 0.05),
     lambda bad: fixed_point_via_sign(6, 0.3, bad),
-], ids=["jacobi-anger-eps", "ite-eps", "sign-eta", "sign-cap", "fp-eta", "fp-cap"])
+    lambda bad: fixed_point_angles(6, bad),
+    lambda bad: NamedSchedule("fixed-point-chebyshev", 3, delta2=bad).angle_pairs(),
+    lambda bad: query_bound(bad, 0.0),
+], ids=["jacobi-anger-eps", "ite-eps", "sign-eta", "sign-cap", "fp-eta", "fp-cap",
+        "fixed-point-angles-delta", "named-schedule-delta2", "query-bound-eps"])
 @pytest.mark.parametrize("bad", ["1e-3", True, 1j, None, 0.0, math.nan], ids=repr)
 def test_series_reject_tolerances_that_are_not_reals_in_range(series, bad):
-    """A typed DomainError, where a string or complex once raised TypeError and True passed."""
+    """A typed DomainError, where a string or complex once raised TypeError and True passed.
+
+    The last three entries are the schedule and query-bound tolerances, which
+    share the one check in pf_compiler.require_between."""
     with pytest.raises(DomainError, match="must be a real number in"):
         series(bad)
 
@@ -489,15 +498,20 @@ def test_fixed_point_via_sign_structure():
 # the flow fit moved to Chebyshev nodes, so the flow cost is now the mean
 # infidelity on those nodes.  The flow phases (which moved by 3.1e-7) and the
 # sign pairs were recorded again when restart 0 became the closed-form start.
+# Both were recorded again when a restart that refinds the best minimum began
+# to end the fit.  The flow fit now keeps restart 0's point, 2.6e-16 above the
+# restart-3 point it kept before, and its phases moved by 3.1e-7.  The sign fit
+# now keeps restart 1's point, 6.9e-14 above restart 4's; the two are distinct
+# angle sets of the same cost to 9e-9 relative.
 PINNED_FIT_PHASES = (0.7075302558084524, 9.83633833904034e-09, 0.7075302459721141)
 PINNED_FIT_COST = 0.10517111083718028
-PINNED_ITE_PHASES = (-1.1455685747017725, -0.6896504397245992, -1.5707964594251957,
-                     0.3294800422562513, 0.7853982821917711)
-PINNED_ITE_COST = 0.0004311658087289477
+PINNED_ITE_PHASES = (-1.1455685129561224, -0.6896504230207215, -1.5707961501291778,
+                     0.3294800548214498, 0.7853980053723272)
+PINNED_ITE_COST = 0.0004311658087292044
 PINNED_SIGN_PAIRS = (
-    (-2.575832840310874, -4.919270610561209), (-1.5249193793421265, -9.301265278282338),
-    (2.0608705692278506, -6.916692851072424), (-2.0400090875982237, 2.456333390288118),
-    (-0.6804995435763224, -3.1379222400522537), (0.0, -4.992512355311169),
+    (-3.2215873748040957, -5.553640682422249), (-2.5062247915536715, -4.027843834897048),
+    (0.5535052886776046, -1.7703861467282511), (-3.5861174794254036, -4.753093846856734),
+    (-1.5454506628840328, -3.558835169174177), (0.0, -1.290456186403103),
 )
 
 
@@ -619,21 +633,63 @@ def test_multistart_skips_chains_once_goal_met(floor):
         assert cost >= 1.0 and calls["second"] > 0
 
 
+def _scripted_solves(monkeypatch, costs):
+    """Replace _lsq_solve by one that returns costs[i] at solve i and its start point;
+    the returned list gets every solve's start."""
+    starts = []
+
+    def scripted(problem, x0, goal=-math.inf):
+        starts.append(np.array(x0))
+        return SimpleNamespace(x=np.asarray(x0), fun=costs[len(starts) - 1])
+
+    monkeypatch.setattr(qsp_engine, "_lsq_solve", scripted)
+    return starts
+
+
+_ONE_CHAIN = ((_counted_quadratic(Counter(), "q"),),)
+
+
 def test_multistart_stalls_on_restarts_that_refind_the_best_minimum(monkeypatch):
     """Each restart lands in the same minimum, 1e-15 lower in relative terms than
-    the last: only the first counts as an improvement, so the stall limit ends
-    the rung after 1 + stall_limit restarts."""
-    costs = []
+    the last: restart 1 refinds restart 0's minimum and ends the fit, before the
+    stall limit would, and its slightly lower cost still wins."""
+    costs = [1.0 - 1e-15 * i for i in range(8)]
+    starts = _scripted_solves(monkeypatch, costs)
+    _, cost = _multistart(_ONE_CHAIN, 1e-3, 10, seed=0, restarts=8, spread=0.5, stall_limit=3)
+    assert len(starts) == 1 + 1
+    assert cost == costs[1]
 
-    def same_minimum(problem, x0, goal=-math.inf):
-        costs.append(1.0 - 1e-15 * len(costs))
-        return SimpleNamespace(x=np.asarray(x0), fun=costs[-1])
 
-    monkeypatch.setattr(qsp_engine, "_lsq_solve", same_minimum)
-    chains = ((_counted_quadratic(Counter(), "q"),),)
-    _, cost = _multistart(chains, 1e-3, 10, seed=0, restarts=8, spread=0.5, stall_limit=3)
-    assert len(costs) == 1 + 3
-    assert cost == min(costs)
+@pytest.mark.parametrize("second", [1.0 - 9e-7, 1.0 + 9e-7], ids=["below", "above"])
+def test_multistart_ends_at_a_refind_on_either_side(second, monkeypatch):
+    """Restart 1 within the relative STALL_MARGIN of the best, above or below it,
+    ends the fit; the lower of the two costs wins."""
+    starts = _scripted_solves(monkeypatch, [1.0, second, 0.5])
+    a, cost = _multistart(_ONE_CHAIN, 1e-3, 10, seed=0, restarts=8, spread=0.5)
+    assert len(starts) == 2
+    assert cost == min(1.0, second)
+    assert np.array_equal(a, starts[1] if second < 1.0 else starts[0])
+
+
+def test_multistart_runs_on_past_a_worse_minimum_to_its_goal(monkeypatch):
+    """The K=12, s=2.5, seed 0 flow fit's costs: restart 1 lands in a worse minimum,
+    which is no refind, so restart 2 runs and meets the 1e-10 goal.  A stall limit
+    of one would have ended the fit at 4.76e-10."""
+    starts = _scripted_solves(monkeypatch, [4.76e-10, 6.5e-9, 9.9e-11, 1.0])
+    _, cost = _multistart(_ONE_CHAIN, 1e-10, 10, seed=0, restarts=8, spread=0.5,
+                          stall_limit=3)
+    assert len(starts) == 3
+    assert cost == 9.9e-11
+
+
+def test_multistart_refinds_no_best_cost_that_is_not_finite(monkeypatch):
+    """Restart 0 costs NaN, so the best cost before restart 1 is inf.  Restart 1
+    is no refind of it (|1 - inf| <= STALL_MARGIN * inf holds in floating point),
+    and restart 2, which lands on restart 1's cost, is the first refind."""
+    starts = _scripted_solves(monkeypatch, [math.nan, 1.0, 1.0, 1.0])
+    _, cost = _multistart(_ONE_CHAIN, 1e-3, 10, seed=0, restarts=8, spread=0.5)
+    assert len(starts) == 3
+    assert cost == 1.0
 
 
 @pytest.mark.parametrize("fit, seed, start", [
@@ -644,14 +700,9 @@ def test_multistart_stalls_on_restarts_that_refind_the_best_minimum(monkeypatch)
 def test_restarts_start_at_the_closed_form_schedule(fit, seed, start, monkeypatch):
     """Restart 0 starts at the fit's closed-form schedule (the product formula, or the
     quasi-Chebyshev prefix at delta^2 = 2 cap), and restart 1 perturbs it by N(0, 0.4),
-    drawn after the random point that restart 0 draws and does not use."""
-    starts = []
-
-    def record(problem, x0, goal=-math.inf):
-        starts.append(np.array(x0))
-        return SimpleNamespace(x=np.asarray(x0), fun=1.0)
-
-    monkeypatch.setattr(qsp_engine, "_lsq_solve", record)
+    drawn after the random point that restart 0 draws and does not use.  Each
+    restart lands higher than the last, so none refinds the best and all three run."""
+    starts = _scripted_solves(monkeypatch, [1.0, 2.0, 3.0])
     fit()
     want = start()
     rng = np.random.default_rng(seed)
@@ -685,12 +736,12 @@ def test_flow_fit_that_the_formula_start_solves_takes_one_short_solve(monkeypatc
 
 
 def test_flow_fit_below_its_goal_starts_at_the_formula_and_stalls(monkeypatch):
-    """At s=2, K=8 no start meets the goal: restart 0 is the formula and three
-    perturbations of it that do not improve end the fit on the stall rule."""
+    """At s=2, K=8 no start meets the goal: restart 0 is the formula, and restart 1,
+    a perturbation of it, lands in the same minimum again and ends the fit."""
     solves = _recorded_solves(monkeypatch)
     _, cost = fit_ite_phases(2.0, 8)
     assert cost >= 1e-10
-    assert len(solves) == 1 + 3
+    assert len(solves) == 1 + 1
     assert np.array_equal(solves[0][0], _formula_start(2.0, 8))
 
 
@@ -714,7 +765,7 @@ def test_exact_flow_state_has_zero_flow_cost(s, monkeypatch):
     xs = chebyshev_nodes(50)
     exact = flow_state(s, xs)
     monkeypatch.setattr(qsp_engine, "_final_state",
-                        lambda a, x: (_dr_forward(a, x), exact.astype(complex)))
+                        lambda a, x, step: (_dr_forward(a, x, step=step), exact.astype(complex)))
     cost, _ = contract_cost_grad(np.zeros(2), xs, state=exact)
     assert cost == pytest.approx(0.0, abs=1e-15)
 
